@@ -1,0 +1,9 @@
+"""Self-tests of the serving benchmark: ``python3 -m pytest servebench/tests``."""
+
+import os
+import sys
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for _path in (os.path.join(_ROOT, "src"), _ROOT):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
