@@ -53,7 +53,9 @@ class FxArray:
         overflow: Overflow = Overflow.SATURATE,
     ) -> "FxArray":
         """Quantise float ``values`` into ``fmt``."""
-        return cls(quantize_float(values, fmt, rounding, overflow), fmt)
+        # quantize_float ends in apply_overflow, so (as in from_raw) the
+        # words are in range and the constructor's re-scan is skipped.
+        return cls._wrap(quantize_float(values, fmt, rounding, overflow), fmt)
 
     @classmethod
     def from_raw(

@@ -13,10 +13,15 @@ from typing import Union
 import numpy as np
 
 from repro.errors import RangeError
-from repro.fixedpoint.qformat import QFormat
+from repro.fixedpoint.qformat import MAX_TOTAL_BITS, QFormat
 from repro.telemetry import collector as _telemetry
 
 RawLike = Union[int, np.ndarray]
+
+#: Where quantised floats saturate before the int64 cast: inside int64
+#: by a guard band as wide as the widest format, so the cast is defined
+#: and overflow arithmetic against any format's bounds cannot wrap.
+_QUANTIZE_LIMIT = float(2 ** 63 - 2 ** MAX_TOTAL_BITS)
 
 
 class Rounding(enum.Enum):
@@ -86,7 +91,12 @@ def _record_overflow(tel, raw: np.ndarray, fmt: QFormat,
     if events:
         kind = "saturate" if overflow is Overflow.SATURATE else "wrap"
         tel.count(f"fx.{kind}.events", events)
-        tel.count(f"fx.{kind}.magnitude", int(np.sum(below) + np.sum(above)))
+        # Summed in float64: exact below 2**53, and a few elements near
+        # the int64 bounds (a quantised +-inf) cannot wrap the total.
+        magnitude = np.sum(below, dtype=np.float64) + np.sum(
+            above, dtype=np.float64
+        )
+        tel.count(f"fx.{kind}.magnitude", int(magnitude))
 
 
 def apply_overflow(raw: RawLike, fmt: QFormat, overflow: Overflow) -> np.ndarray:
@@ -121,7 +131,15 @@ def quantize_float(
     rounding: Rounding = Rounding.NEAREST_EVEN,
     overflow: Overflow = Overflow.SATURATE,
 ) -> np.ndarray:
-    """Convert float values to raw integers in ``fmt``."""
+    """Convert float values to raw integers in ``fmt``.
+
+    Rounds and clips in float64 and casts to int64 last: a float-to-int64
+    cast of a value outside int64 is undefined (x86 yields ``INT64_MIN``,
+    which would saturate ``+inf`` to ``raw_min``). Raw values beyond
+    ``±(2**63 - 2**31)``, infinities included, first saturate there;
+    then ``overflow`` folds them into ``fmt`` as for any raw integer.
+    NaN has no raw word and raises :class:`~repro.errors.RangeError`.
+    """
     scaled = np.asarray(values, dtype=np.float64) * (1 << fmt.fb)
     if rounding in (Rounding.NEAREST_EVEN,):
         raw = np.rint(scaled)
@@ -133,4 +151,7 @@ def quantize_float(
         raw = np.trunc(scaled)
     else:
         raise ValueError(f"unknown rounding mode {rounding!r}")
+    if np.isnan(raw).any():
+        raise RangeError(f"NaN has no value in fixed-point format {fmt}")
+    raw = np.clip(raw, -_QUANTIZE_LIMIT, _QUANTIZE_LIMIT)
     return apply_overflow(raw.astype(np.int64), fmt, overflow)

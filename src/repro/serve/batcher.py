@@ -15,6 +15,14 @@ concatenating requests, evaluating once, and slicing the output yields
 exactly the raw words each request would have produced alone
 (``tests/serve/test_batcher.py`` pins this property over random splits).
 
+Float↔fixed-point conversion happens once per batch, at the batch's
+fixed-point boundary, as in the NACU itself: a float request carries its
+float64 values to the dispatcher, every float member of a batch is
+quantised in one call, and the fused output is de-quantised in one
+multiply. Each float future then resolves to a view of its own slice of
+that one float array. ``FxArray`` requests skip both conversions and
+travel as raw words.
+
 Backpressure is explicit: the pending pool is bounded in *elements*, and
 an offer that would overflow it is refused — the server turns that into
 :class:`~repro.errors.BackpressureError` and counts the shed — never
@@ -55,25 +63,33 @@ _EXP_DOMAIN_MESSAGE = (
 
 
 class Request:
-    """One pending evaluation: raw payload, result future, emit recipe."""
+    """One pending evaluation: payload, result future, emit recipe.
+
+    A float request resolves to a view into its batch's float output
+    (a Python float when it was a scalar); an ``FxArray`` request to
+    raw words.
+    """
 
     __slots__ = (
-        "future", "mode", "raw", "shape", "axis", "emit_fx", "emit_scalar",
-        "enqueue_ns", "trace",
+        "future", "mode", "payload", "shape", "axis", "emit_fx",
+        "emit_scalar", "enqueue_ns", "trace",
     )
 
-    def __init__(self, future, mode: FunctionMode, raw: np.ndarray,
+    def __init__(self, future, mode: FunctionMode, payload: np.ndarray,
                  shape: Tuple[int, ...], axis: int,
                  emit_fx: bool, emit_scalar: bool):
         self.future = future
         self.mode = mode
-        #: Elementwise: the flattened raw words. Softmax: a 2-D row stack
-        #: (the requested axis moved last) in request order.
-        self.raw = raw
+        #: The input in request order, flattened for elementwise modes
+        #: and a 2-D row stack (the requested axis moved last) for
+        #: softmax: float64 values still to be quantised with the batch,
+        #: or raw int64 words when ``emit_fx``.
+        self.payload = payload
         #: The shape to restore on scatter (axis already moved last for
-        #: softmax; ``axis`` moves it back).
+        #: softmax; ``axis`` moves it back, and is -1 when it was last).
         self.shape = shape
         self.axis = axis
+        #: Whether the request came (and resolves) as an ``FxArray``.
         self.emit_fx = emit_fx
         self.emit_scalar = emit_scalar
         self.enqueue_ns = time.perf_counter_ns()
@@ -83,17 +99,22 @@ class Request:
 
     @property
     def elements(self) -> int:
-        return self.raw.size
+        return self.payload.size
 
 
 def build_request(future, x, mode: FunctionMode, axis: int,
                   engine: BatchEngine) -> Request:
-    """Quantise ``x`` into the engine's format and shape it for coalescing.
+    """Check ``x`` against the engine's format and shape it for coalescing.
 
-    Runs in the *caller's* thread so quantisation parallelises across
-    clients and the dispatcher only ever touches raw words. Domain
-    errors (a positive input to ``exp``, a scalar to ``softmax``) are
-    raised here, before the request can join — and poison — a batch.
+    Runs in the *caller's* thread and keeps only the checks that must
+    stay synchronous and per request, so a bad request is refused here
+    instead of joining — and poisoning — a batch: the mode is servable,
+    an ``FxArray``'s format matches, softmax gets at least one axis, no
+    input is NaN, and every exp input quantises to a raw word ``<= 0``
+    (for floats, the exact predicate ``x <= 2**-(fb+1)``). Quantising
+    waits for the batch (:meth:`Batch.fused_raw`); a float request keeps
+    a private float64 copy of ``x``, so the caller may reuse its array
+    as soon as ``submit()`` returns.
     """
     if mode not in SERVABLE_MODES:
         raise ServeError(
@@ -101,25 +122,36 @@ def build_request(future, x, mode: FunctionMode, axis: int,
             f"servable modes: {[m.value for m in SERVABLE_MODES]}"
         )
     emit_fx = isinstance(x, FxArray)
-    fx = x if emit_fx else FxArray.from_float(
-        np.asarray(x, dtype=np.float64), engine.io_fmt
-    )
-    if fx.fmt != engine.io_fmt:
-        raise ServeError(
-            f"request format {fx.fmt} does not match the server's "
-            f"{engine.io_fmt}"
-        )
-    emit_scalar = fx.raw.ndim == 0
+    if emit_fx:
+        if x.fmt != engine.io_fmt:
+            raise ServeError(
+                f"request format {x.fmt} does not match the server's "
+                f"{engine.io_fmt}"
+            )
+        values = x.raw
+        exp_limit = 0
+    else:
+        values = np.array(x, dtype=np.float64)
+        # The largest float that rounds (ties to even) to raw 0.
+        exp_limit = engine.io_fmt.resolution / 2
+    if values.size and (mode is FunctionMode.EXP or not emit_fx):
+        # One reduction serves both checks: the max is NaN if any input is.
+        top = values.max()
+        if top != top:
+            raise RangeError("NaN has no fixed-point value to serve")
+        if mode is FunctionMode.EXP and top > exp_limit:
+            raise RangeError(_EXP_DOMAIN_MESSAGE)
     if mode is FunctionMode.SOFTMAX:
-        if fx.raw.ndim == 0:
+        if values.ndim == 0:
             raise RangeError("softmax needs at least one axis of inputs")
-        moved = np.moveaxis(fx.raw, axis, -1)
-        raw = np.ascontiguousarray(moved.reshape(-1, moved.shape[-1]))
-        return Request(future, mode, raw, moved.shape, axis, emit_fx, False)
-    if mode is FunctionMode.EXP and np.any(fx.raw > 0):
-        raise RangeError(_EXP_DOMAIN_MESSAGE)
-    raw = np.ascontiguousarray(fx.raw).reshape(-1)
-    return Request(future, mode, raw, fx.raw.shape, axis, emit_fx, emit_scalar)
+        if axis == values.ndim - 1:
+            axis = -1
+        moved = values if axis == -1 else np.moveaxis(values, axis, -1)
+        rows = np.ascontiguousarray(moved.reshape(-1, moved.shape[-1]))
+        return Request(future, mode, rows, moved.shape, axis, emit_fx, False)
+    flat = np.ascontiguousarray(values).reshape(-1)
+    return Request(future, mode, flat, values.shape, axis, emit_fx,
+                   values.ndim == 0)
 
 
 def evaluate_fused(engine: BatchEngine, mode: FunctionMode,
@@ -153,16 +185,23 @@ class Batch:
         self.requests = requests
         self.elements = sum(r.elements for r in requests)
 
-    def fused_raw(self) -> np.ndarray:
+    def fused_raw(self, fmt) -> np.ndarray:
         """The gathered raw payload for :func:`evaluate_fused`.
 
-        A batch of one request (the large pre-formed-batch regime) needs
-        no gather: its raw words are handed over in place so the serving
-        layer adds no copy on top of the engine call.
+        Every float member is quantised into ``fmt`` in one call over
+        the concatenated values. A batch of one ``FxArray`` request (the
+        large pre-formed-batch regime) needs no gather: its raw words are
+        handed over in place so the serving layer adds no copy on top of
+        the engine call.
         """
-        if len(self.requests) == 1:
-            return self.requests[0].raw
-        return np.concatenate([r.raw for r in self.requests])
+        requests = self.requests
+        if len(requests) == 1 and requests[0].emit_fx:
+            return requests[0].payload
+        if not self.emits_raw:
+            return self._quantised(fmt).reshape(self.fused_shape)
+        out = np.empty(self.fused_shape, dtype=np.int64)
+        self.gather_into(out.reshape(-1), fmt)
+        return out
 
     @property
     def fused_shape(self) -> Tuple[int, ...]:
@@ -173,7 +212,7 @@ class Batch:
         width)`` for softmax.
         """
         if self.mode is FunctionMode.SOFTMAX:
-            width = self.requests[0].raw.shape[-1]
+            width = self.requests[0].payload.shape[-1]
             return (self.elements // width, width)
         return (self.elements,)
 
@@ -183,29 +222,42 @@ class Batch:
 
         ``FxArray`` clients get a view over the fused output on scatter;
         a serving layer that recycles its output buffer (the ring
-        transport) must unshare the bytes first. Float futures copy on
-        scatter either way.
+        transport) must unshare the bytes first. Float futures view the
+        batch's de-quantised copy, never the buffer itself.
         """
         return any(r.emit_fx for r in self.requests)
 
-    def gather_into(self, out: np.ndarray) -> None:
+    def gather_into(self, out: np.ndarray, fmt) -> None:
         """Scatter-gather the fused payload straight into ``out`` (flat).
 
         The zero-copy dual of :meth:`fused_raw`: the ring transport
         hands over the destination slot and the member payloads land
-        there directly, with no intermediate concatenation.
+        there directly — ``FxArray`` members as their raw words, float
+        members as their share of one quantising call into ``fmt``.
         """
-        offset = 0
+        quantised = self._quantised(fmt)
+        if quantised is not None and quantised.size == out.size:
+            out[:] = quantised
+            return
+        offset = taken = 0
         for request in self.requests:
-            flat = request.raw.reshape(-1)
-            out[offset:offset + flat.size] = flat
-            offset += flat.size
+            size = request.elements
+            if request.emit_fx:
+                out[offset:offset + size] = request.payload.reshape(-1)
+            else:
+                out[offset:offset + size] = quantised[taken:taken + size]
+                taken += size
+            offset += size
 
-    def split_points(self) -> np.ndarray:
-        """Where the fused output splits back into per-request slices."""
-        if self.mode is FunctionMode.SOFTMAX:
-            return np.cumsum([r.raw.shape[0] for r in self.requests])[:-1]
-        return np.cumsum([r.elements for r in self.requests])[:-1]
+    def _quantised(self, fmt) -> Optional[np.ndarray]:
+        """The float members' values quantised in one flat call, if any."""
+        values = [r.payload.reshape(-1) for r in self.requests
+                  if not r.emit_fx]
+        if not values:
+            return None
+        return FxArray.from_float(
+            values[0] if len(values) == 1 else np.concatenate(values), fmt
+        ).raw
 
     def begin(self, collector=None, tracer=None, slo=None,
               dispatch_ns: Optional[int] = None):
@@ -258,15 +310,37 @@ class Batch:
                dispatch_ns: int = 0, sink=None) -> None:
         """Scatter the fused output and resolve every member future.
 
+        Float members share one de-quantise of the whole output (``raw *
+        fmt.resolution``): each float future resolves to a view of its
+        own slice of that float array — a Python float for a scalar
+        request — so a held result keeps its batch's float output alive.
+        ``FxArray`` futures get views of ``out_raw`` itself.
+
         The completion half of :meth:`begin`: per-mode latency quantile
         fold, SLO good/bad classification, and trace retirement with the
         batch's stage timeline (``sink``). May raise — callers wrap it
         exactly like the evaluation itself (see :meth:`run`).
         """
-        for request, raw in zip(
-            self.requests, np.split(out_raw, self.split_points())
-        ):
-            self._finish(request, raw, fmt)
+        raw = out_raw.reshape(-1)
+        # Made before any future resolves: an FxArray client may write
+        # into its view of ``raw`` as soon as it has it.
+        values = (
+            None if all(r.emit_fx for r in self.requests)
+            else raw * fmt.resolution
+        )
+        offset = 0
+        for request in self.requests:
+            end = offset + request.elements
+            piece = (raw if request.emit_fx else values)[offset:end]
+            offset = end
+            piece = piece.reshape(request.shape)
+            if request.mode is FunctionMode.SOFTMAX and request.axis != -1:
+                piece = np.moveaxis(piece, -1, request.axis)
+            if request.emit_fx:
+                result = FxArray._wrap(piece, fmt)
+            else:
+                result = float(piece) if request.emit_scalar else piece
+            request.future.set_result(result)
         finish_ns = time.perf_counter_ns()
         if enqueue_ns is not None:
             latencies = finish_ns - enqueue_ns
@@ -317,12 +391,11 @@ class Batch:
         )
         try:
             sink = _tracing.StageSink() if traces else None
+            payload = self.fused_raw(engine.io_fmt)
             attempt = 0
             while True:
                 with _tracing.use_sink(sink):
-                    out_raw = evaluate_fused(
-                        engine, self.mode, self.fused_raw()
-                    )
+                    out_raw = evaluate_fused(engine, self.mode, payload)
                 reason = (
                     verifier.check(self.mode, out_raw)
                     if verifier is not None else None
@@ -365,19 +438,6 @@ class Batch:
             sink.fan_out(traces)
         if tracer is not None:
             tracer.retire_many(traces)
-
-    @staticmethod
-    def _finish(request: Request, raw: np.ndarray, fmt) -> None:
-        raw = raw.reshape(request.shape)
-        if request.mode is FunctionMode.SOFTMAX:
-            raw = np.moveaxis(raw, -1, request.axis)
-        if request.emit_fx:
-            request.future.set_result(FxArray._wrap(raw, fmt))
-        else:
-            out = raw.astype(np.float64) * fmt.resolution
-            request.future.set_result(
-                float(out) if request.emit_scalar else out
-            )
 
 
 class MicroBatcher:
@@ -437,7 +497,7 @@ class MicroBatcher:
     @staticmethod
     def _key(request: Request) -> Tuple[str, int]:
         width = (
-            request.raw.shape[-1]
+            request.payload.shape[-1]
             if request.mode is FunctionMode.SOFTMAX
             else 0
         )

@@ -3,8 +3,8 @@
 :class:`AsyncFrontend` puts an event loop in front of either serving
 backend — the in-process :class:`~repro.serve.server.InferenceServer`
 or the multi-process :class:`~repro.serve.pool.WorkerPool` — without
-adding a thread of its own. ``await frontend.submit(x)`` quantises and
-enqueues on the caller's loop (both are sub-microsecond per request),
+adding a thread of its own. ``await frontend.submit(x)`` validates and
+enqueues on the caller's loop (quantising waits for the batch),
 hands the backend's :class:`concurrent.futures.Future` to
 :func:`asyncio.wrap_future`, and suspends the coroutine until a
 dispatcher or worker resolves it. Ten thousand coroutines awaiting

@@ -735,9 +735,9 @@ class WorkerPool:
 
         ``out_raw`` is either the unpickled pipe payload or a read-only
         view over the worker's response-ring frame — by the time this
-        returns, every future has resolved (floats copy on scatter,
-        FxArrays were unshared by the caller), so the caller may recycle
-        the frame immediately.
+        returns, every future has resolved (floats view the batch's one
+        de-quantised copy, FxArrays were unshared by the caller), so the
+        caller may recycle the frame immediately.
         """
         sink = None
         if events is not None:
@@ -968,7 +968,7 @@ class WorkerPool:
             if slot is not None:
                 frame = ring.open_frame(slot, seq, elements)
                 if isinstance(source, Batch):
-                    source.gather_into(frame)
+                    source.gather_into(frame, self.io_fmt)
                 else:
                     np.copyto(frame, source.reshape(-1))
                 ring.commit_frame(slot)
@@ -981,8 +981,8 @@ class WorkerPool:
                         sent = True
             else:
                 payload = (
-                    source.fused_raw() if isinstance(source, Batch)
-                    else source
+                    source.fused_raw(self.io_fmt)
+                    if isinstance(source, Batch) else source
                 )
                 with handle.send_lock:
                     if not (guard and (handle.dead or handle.quarantined)):

@@ -308,7 +308,7 @@ class ResilienceManager:
         tel, traces, enqueue_ns = batch.begin(
             pool.collector, tracer, pool.slo, dispatch_ns=dispatch_ns
         )
-        payload = batch.fused_raw()
+        payload = batch.fused_raw(pool.io_fmt)
         canary_golden: Optional[np.ndarray] = None
         canary_len = 0
         if self.canaries is not None:

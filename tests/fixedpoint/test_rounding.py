@@ -203,3 +203,62 @@ class TestQuantizeFloat:
         fmt = QFormat(4, 11)
         raw = int(quantize_float(value, fmt))
         assert abs(raw * fmt.resolution - value) <= fmt.resolution / 2
+
+
+class TestQuantizeNonFinite:
+    """Out-of-int64 floats saturate like any overflow; NaN is refused.
+
+    A float->int64 cast of an out-of-range value is undefined (x86 gives
+    INT64_MIN), so before the cast moved after the clip, +inf and 1e19
+    quantised to raw_min and NaN to raw_min too.
+    """
+
+    @pytest.mark.parametrize("bits", [8, 12, 16])
+    def test_infinities_and_huge_values_saturate(self, bits):
+        from repro.fixedpoint.format_selection import select_format
+
+        fmt = select_format(bits)
+        values = np.array([np.inf, -np.inf, 1e19, -1e19])
+        want = [fmt.raw_max, fmt.raw_min, fmt.raw_max, fmt.raw_min]
+        assert quantize_float(values, fmt).tolist() == want
+        for value, raw in zip(values, want):
+            assert int(quantize_float(value, fmt)) == raw
+
+    @pytest.mark.parametrize("bits", [8, 12, 16])
+    @pytest.mark.parametrize(
+        "values", [np.nan, [0.5, np.nan], [np.inf, np.nan, -np.inf]]
+    )
+    def test_nan_raises(self, bits, values):
+        from repro.fixedpoint.format_selection import select_format
+
+        with pytest.raises(RangeError, match="NaN"):
+            quantize_float(values, select_format(bits))
+
+    @pytest.mark.parametrize("bits", [8, 12, 16])
+    def test_saturation_telemetry_stays_integer_at_infinity(self, bits):
+        from repro.fixedpoint.format_selection import select_format
+        from repro.telemetry import Collector, use_collector
+
+        fmt = select_format(bits)
+        tel = Collector()
+        with use_collector(tel):
+            quantize_float(np.array([np.inf, -np.inf, np.inf, 0.0]), fmt)
+        counters = tel.counters
+        assert counters["fx.overflow.checked"] == 4
+        assert counters["fx.saturate.events"] == 3
+        magnitude = counters["fx.saturate.magnitude"]
+        assert type(magnitude) is int and magnitude >= 3 * 2 ** 62
+
+    @pytest.mark.parametrize("bits", [8, 12, 16])
+    def test_engine_sigmoid_of_inf_is_sigmoid_of_max_value(self, bits):
+        from repro.engine import BatchEngine
+
+        engine = BatchEngine.for_bits(bits, fast=True)
+        fmt = engine.io_fmt
+        for inf, bound in ((np.inf, fmt.max_value), (-np.inf, fmt.min_value)):
+            got = engine.sigmoid(inf)
+            want = engine.sigmoid(bound)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            got = engine.sigmoid(np.array([inf, 0.0]))
+            want = engine.sigmoid(np.array([bound, 0.0]))
+            assert got.tobytes() == want.tobytes()

@@ -163,15 +163,43 @@ class TestBatchRun:
         assert snap["timers"]["serve.queue_wait"]["count"] == 4
 
 
-def _run_split(engine, mode, requests):
-    """Coalesce ``requests`` into one batch per call and gather raws."""
-    batch = Batch(mode, requests)
-    batch.run(engine)
-    outs = []
-    for request in requests:
-        result = request.future.result()
-        outs.append(np.asarray(result.raw).ravel())
-    return np.concatenate(outs) if outs else np.empty(0, dtype=np.int64)
+def _draw_request(data, raw, fmt, scalar_ok):
+    """One request over ``raw`` words, drawn as a float or an FxArray.
+
+    Floats carry the exact image of the raw words, so they quantise
+    back to them; a one-element piece is sometimes a 0-d scalar.
+    """
+    as_fx = data.draw(st.booleans(), label="FxArray piece")
+    if scalar_ok and raw.size == 1 and data.draw(st.booleans(), label="0-d"):
+        raw = raw.reshape(())
+    if as_fx:
+        return FxArray(raw, fmt)
+    values = raw * fmt.resolution
+    return float(values) if values.ndim == 0 else values
+
+
+def _assert_same_bytes(result, want):
+    """``result`` is ``want`` byte for byte: kind, shape, dtype, words."""
+    if isinstance(want, FxArray):
+        assert isinstance(result, FxArray) and result.fmt == want.fmt
+        result, want = result.raw, want.raw
+    elif isinstance(want, float):
+        assert type(result) is float
+        result, want = np.float64(result), np.float64(want)
+    assert isinstance(result, (np.ndarray, np.generic))
+    assert result.shape == want.shape and result.dtype == want.dtype
+    assert result.tobytes() == want.tobytes()
+
+
+def _serial(engine, mode, x, axis=-1):
+    """What the serial engine answers for one request of either kind."""
+    if isinstance(x, FxArray):
+        kernel = getattr(engine, f"{mode.value}_fx")
+    else:
+        kernel = getattr(engine, mode.value)
+    if mode is FunctionMode.SOFTMAX:
+        return kernel(x, axis=axis)
+    return kernel(x)
 
 
 class TestSplitBitIdentity:
@@ -180,6 +208,9 @@ class TestSplitBitIdentity:
     The acceptance property: singleton requests, arbitrary interior
     splits, and the one-big-batch case must all be byte-identical to a
     single serial :class:`BatchEngine` evaluation — per width, per mode.
+    Each piece is a float array or an ``FxArray`` (a 0-d scalar of
+    either kind when it holds one element), so one batch mixes float
+    members, quantised together, with raw members.
     """
 
     @pytest.mark.parametrize("bits", [8, 12, 16])
@@ -215,15 +246,23 @@ class TestSplitBitIdentity:
         }[mode]
         serial = kernel(stream).raw
 
-        pieces = np.split(stream.raw, cuts)
-        requests = [
-            build_request(
-                Future(), FxArray(piece, stream.fmt), mode, -1, engine
-            )
-            for piece in pieces
+        inputs = [
+            _draw_request(data, piece, stream.fmt, scalar_ok=True)
+            for piece in np.split(stream.raw, cuts)
         ]
-        batched = _run_split(engine, mode, requests)
-        np.testing.assert_array_equal(batched, serial)
+        requests = [
+            build_request(Future(), x, mode, -1, engine) for x in inputs
+        ]
+        Batch(mode, requests).run(engine)
+        batched = []
+        for x, request in zip(inputs, requests):
+            result = request.future.result()
+            _assert_same_bytes(result, _serial(engine, mode, x))
+            words = result.raw if isinstance(result, FxArray) else (
+                np.asarray(result) / engine.io_fmt.resolution
+            )
+            batched.append(np.ravel(words).astype(np.int64))
+        np.testing.assert_array_equal(np.concatenate(batched), serial)
 
     @pytest.mark.parametrize("bits", [8, 12, 16])
     @given(data=st.data())
@@ -247,13 +286,32 @@ class TestSplitBitIdentity:
         )
         serial = engine.softmax_fx(stream, axis=-1).raw
 
-        requests = [
-            build_request(
-                Future(), FxArray(piece, stream.fmt),
-                FunctionMode.SOFTMAX, -1, engine,
+        inputs, axes = [], []
+        for piece in np.split(stream.raw, cuts, axis=0):
+            if not piece.shape[0]:
+                continue
+            # axis=0 carries the same rows as columns of the transpose.
+            axis = data.draw(st.sampled_from([-1, 0]), label="axis")
+            if axis == 0:
+                piece = np.ascontiguousarray(piece.T)
+            inputs.append(
+                _draw_request(data, piece, stream.fmt, scalar_ok=False)
             )
-            for piece in np.split(stream.raw, cuts, axis=0)
-            if piece.shape[0]
+            axes.append(axis)
+        requests = [
+            build_request(Future(), x, FunctionMode.SOFTMAX, axis, engine)
+            for x, axis in zip(inputs, axes)
         ]
-        batched = _run_split(engine, FunctionMode.SOFTMAX, requests)
-        np.testing.assert_array_equal(batched, serial.ravel())
+        Batch(FunctionMode.SOFTMAX, requests).run(engine)
+        batched = []
+        for x, axis, request in zip(inputs, axes, requests):
+            result = request.future.result()
+            _assert_same_bytes(
+                result, _serial(engine, FunctionMode.SOFTMAX, x, axis)
+            )
+            words = result.raw if isinstance(result, FxArray) else (
+                result / engine.io_fmt.resolution
+            )
+            words = words.T if axis == 0 else words
+            batched.append(np.ravel(words).astype(np.int64))
+        np.testing.assert_array_equal(np.concatenate(batched), serial.ravel())
