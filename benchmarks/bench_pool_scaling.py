@@ -92,7 +92,7 @@ def test_pool_scaling_req_per_s_and_exactness(record_result):
         policy = SLOPolicy("serve", latency_ms=SLO_MS)
         pool = WorkerPool(
             n_bits=N_BITS, workers=workers, collector=collector,
-            slo=policy, max_delay_us=200.0,
+            slo=policy,
         )
         try:
             generator = LoadGenerator(pool, verify_engine=reference)

@@ -5,7 +5,7 @@ Usage::
     PYTHONPATH=src python -m repro.serve [--bits 16] [--requests 2048]
         [--clients 4] [--workers 1] [--pool N] [--transport ring|pipe]
         [--max-batch 4096]
-        [--delay-us 200] [--report] [--trace] [--trace-sample 16]
+        [--delay-us 0] [--report] [--trace] [--trace-sample 16]
         [--slo-ms 50] [--prom-out metrics.prom] [--trace-out traces.jsonl]
 
 Spins up an :class:`~repro.serve.server.InferenceServer` — or, with
@@ -77,7 +77,9 @@ def main(argv=None) -> int:
                         default="ring",
                         help="pool IPC transport: shared-memory slot "
                              "rings (default) or pickled pipes")
-    parser.add_argument("--delay-us", type=float, default=200.0)
+    parser.add_argument("--delay-us", type=float, default=None,
+                        help="least time a batch group waits for company "
+                             "(default: the server's own, 0)")
     parser.add_argument("--report", action="store_true",
                         help="print the full telemetry report")
     parser.add_argument("--trace", action="store_true",
@@ -113,20 +115,17 @@ def main(argv=None) -> int:
                   objective=args.slo_objective)
         if args.slo_ms is not None else None
     )
+    knobs = dict(n_bits=args.bits, max_batch_elements=args.max_batch,
+                 tracer=tracer, slo=policy)
+    if args.delay_us is not None:
+        knobs["max_delay_us"] = args.delay_us
     with use_collector(collector):
         if args.pool is not None:
             server = WorkerPool(
-                n_bits=args.bits, workers=args.pool,
-                max_batch_elements=args.max_batch,
-                max_delay_us=args.delay_us, tracer=tracer, slo=policy,
-                transport=args.transport,
+                workers=args.pool, transport=args.transport, **knobs
             )
         else:
-            server = InferenceServer(
-                n_bits=args.bits, workers=args.workers,
-                max_batch_elements=args.max_batch,
-                max_delay_us=args.delay_us, tracer=tracer, slo=policy,
-            )
+            server = InferenceServer(workers=args.workers, **knobs)
         start = time.perf_counter()
         with server:
             def client(shard, out):

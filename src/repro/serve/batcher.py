@@ -4,10 +4,13 @@ The vectorised datapath (and the compiled-table gather even more so) is
 dominated by *per-call* overhead at small sizes: a scalar sigmoid pays
 the same dispatch, telemetry resolve and table lookup as a million-
 element batch. The batcher exploits that by parking incoming requests
-per ``(mode, row-width)`` group for at most a latency deadline, fusing
-everything that accumulates into **one** engine pass, and scattering the
-raw results back — so a stream of single-sample requests evaluates at
-large-batch throughput.
+per ``(mode, row-width)`` group while the executor that would run them
+is busy, fusing everything that accumulates into **one** engine pass,
+and scattering the raw results back — so a stream of single-sample
+requests evaluates at large-batch throughput, and a lone request on an
+idle server runs at once. The batching is self-clocked, like the NACU
+pipeline that issues a new operand whenever its input stage frees: the
+executor's own busy time sets how long a group fills, not a timer.
 
 Bit identity is structural, not statistical: elementwise modes are pure
 per-code maps and the batched softmax is row-independent, so
@@ -109,12 +112,13 @@ def build_request(future, x, mode: FunctionMode, axis: int,
     Runs in the *caller's* thread and keeps only the checks that must
     stay synchronous and per request, so a bad request is refused here
     instead of joining — and poisoning — a batch: the mode is servable,
-    an ``FxArray``'s format matches, softmax gets at least one axis, no
-    input is NaN, and every exp input quantises to a raw word ``<= 0``
-    (for floats, the exact predicate ``x <= 2**-(fb+1)``). Quantising
-    waits for the batch (:meth:`Batch.fused_raw`); a float request keeps
-    a private float64 copy of ``x``, so the caller may reuse its array
-    as soon as ``submit()`` returns.
+    an ``FxArray``'s format matches, softmax gets a non-empty input with
+    at least one axis, no input is NaN, and every exp input quantises to
+    a raw word ``<= 0`` (for floats, the exact predicate
+    ``x <= 2**-(fb+1)``). Quantising waits for the batch
+    (:meth:`Batch.fused_raw`); a float request keeps a private float64
+    copy of ``x``, so the caller may reuse its array as soon as
+    ``submit()`` returns.
     """
     if mode not in SERVABLE_MODES:
         raise ServeError(
@@ -144,6 +148,12 @@ def build_request(future, x, mode: FunctionMode, axis: int,
     if mode is FunctionMode.SOFTMAX:
         if values.ndim == 0:
             raise RangeError("softmax needs at least one axis of inputs")
+        if values.size == 0:
+            # The serial engine's refusal, made here so it cannot depend
+            # on which rows share the batch.
+            raise RangeError(
+                "softmax expects a non-empty 1-D vector or 2-D batch"
+            )
         if axis == values.ndim - 1:
             axis = -1
         moved = values if axis == -1 else np.moveaxis(values, axis, -1)
@@ -441,18 +451,22 @@ class Batch:
 
 
 class MicroBatcher:
-    """Per-group pending pools with deadline- and size-triggered flushes.
+    """Per-group pending pools, drained when full or when asked.
 
     Groups are keyed by ``(mode, row_width)`` — row width only matters
-    for softmax, whose rows must stack — and flush when they reach
-    ``max_batch_elements`` or when their oldest request has waited
-    ``max_delay_us``. A single request larger than the batch ceiling is
-    accepted and flushed alone: the ceiling bounds coalescing, not
+    for softmax, whose rows must stack. A group that reaches
+    ``max_batch_elements`` is ready at once. A group below the ceiling
+    leaves only when the owning dispatcher has an executor free to run
+    it (:meth:`take_ready` with a clock reading), and not before its
+    oldest request has waited ``max_delay_us`` — the least time a group
+    waits for company, 0 by default. While every executor is busy,
+    groups keep filling. A single request larger than the batch ceiling
+    is accepted and flushed alone: the ceiling bounds coalescing, not
     request size.
     """
 
     def __init__(self, max_batch_elements: int = 4096,
-                 max_delay_us: float = 200.0,
+                 max_delay_us: float = 0.0,
                  max_pending_elements: int = 1 << 20):
         if max_batch_elements <= 0 or max_pending_elements <= 0:
             raise ServeError("batch and pending bounds must be positive")
@@ -482,9 +496,9 @@ class MicroBatcher:
 
         The dispatcher only needs a wake-up when this turns true (or
         when the pool was idle): a submit into a below-ceiling group
-        changes nothing the dispatcher's deadline timeout doesn't
-        already cover, and skipping the notify avoids one pointless
-        context switch per coalesced request.
+        changes nothing for a dispatcher that is waiting out a deadline
+        or waiting for a busy executor, and skipping the notify avoids
+        one pointless context switch per coalesced request.
         """
         return self._full_groups > 0
 
@@ -522,14 +536,22 @@ class MicroBatcher:
             self._full_groups += 1
         return True
 
-    def take_ready(self, now_ns: int, flush_all: bool = False) -> List[Batch]:
-        """Pop every group that is full or past deadline as a batch."""
+    def take_ready(self, now_ns: Optional[int],
+                   flush_all: bool = False) -> List[Batch]:
+        """Pop every ready group as a batch.
+
+        Full groups are always ready. ``now_ns`` is the dispatcher's
+        clock while an executor is free, and then a group below the
+        ceiling is ready too once its deadline has passed; ``None``
+        means every executor is busy, so only full groups leave and the
+        rest keep filling. ``flush_all`` pops everything (close).
+        """
         ready: List[Batch] = []
         for key in list(self._groups):
             if (
                 flush_all
                 or self._group_elements[key] >= self.max_batch_elements
-                or now_ns >= self._deadlines[key]
+                or (now_ns is not None and now_ns >= self._deadlines[key])
             ):
                 requests = self._groups.pop(key)
                 elements = self._group_elements.pop(key)

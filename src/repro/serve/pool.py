@@ -12,10 +12,12 @@ scale-out tier on top of the same building blocks:
 * the parent keeps the :class:`~repro.serve.batcher.MicroBatcher` and
   ships **whole fused batches**, so the micro-batcher's coalescing
   survives the process hop: one message per batch, never one per
-  request. Under the default ``transport="ring"`` the payload never
-  crosses the pipe at all: the parent gathers the fused raw words
-  straight into a free slot of a per-worker
-  :class:`~repro.serve.store.SlotRing` (preallocated SPSC request/
+  request. Batching is self-clocked: a group below the batch ceiling
+  leaves as soon as some worker has nothing in flight, and keeps
+  filling while every worker is busy. Under the default
+  ``transport="ring"`` the payload never crosses the pipe at all: the
+  parent gathers the fused raw words straight into a free slot of a
+  per-worker :class:`~repro.serve.store.SlotRing` (preallocated SPSC request/
   response rings in ``multiprocessing.shared_memory``) and sends only a
   tiny doorbell — ``(seq, mode, slot, shape)`` — over the duplex pipe;
   the worker evaluates from a zero-copy view and writes the result into
@@ -311,7 +313,7 @@ class WorkerPool:
         ring_slots: int = 8,
         ring_slot_elements: Optional[int] = None,
         max_batch_elements: int = 4096,
-        max_delay_us: float = 200.0,
+        max_delay_us: float = 0.0,
         max_pending_elements: int = 1 << 20,
         publish_cache: Optional[TableCache] = None,
         mp_context: Optional[str] = None,
@@ -727,6 +729,11 @@ class WorkerPool:
             pending = handle.in_flight.pop(seq, None)
             if pending is not None:
                 handle.outstanding -= pending.batch.elements
+            emptied = pending is not None and not handle.in_flight
+        if emptied:
+            # Replies, error replies and torn frames all pass here: a
+            # worker with nothing left in flight opens the gate.
+            self._wake_dispatcher()
         return pending
 
     def _deliver(self, handle: _WorkerHandle, pending: _Pending,
@@ -828,6 +835,11 @@ class WorkerPool:
             except OSError:
                 pass
             self._release_rings(handle)
+        else:
+            # Out of service for good: the gate must look again, since a
+            # pool with no live worker left lets held groups go, to fail
+            # loudly (or wait out ``dispatch_wait_s``) in ``_ship``.
+            self._wake_dispatcher()
 
     def _ring_forensics(self, handle: _WorkerHandle, orphans):
         """Header state of every orphaned slot pair, copied before reuse.
@@ -902,17 +914,48 @@ class WorkerPool:
                     return handle
                 self._cond.wait(remaining)
 
+    def _executor_free(self) -> bool:
+        """The self-clocking gate: may a below-ceiling group leave now?
+
+        Yes while a live, unquarantined worker has nothing in flight (a
+        batch whose resilience flight already timed out holds no one
+        back), and also once no such worker is left at all, so
+        :meth:`_ship` settles held groups instead of stranding them.
+        Caller holds ``_cond``.
+        """
+        live = False
+        for handle in self._handles:
+            if handle.dead or handle.quarantined:
+                continue
+            live = True
+            # Copied: receiver threads pop from it concurrently.
+            if not handle.in_flight or all(
+                p.flight is not None and p.flight.done
+                for p in list(handle.in_flight.values())
+            ):
+                return True
+        return not live
+
+    def _wake_dispatcher(self) -> None:
+        """Make the dispatcher re-run the gate: a worker freed or left."""
+        with self._cond:
+            self._cond.notify()
+
     def _dispatch_loop(self) -> None:
         while True:
             with self._cond:
                 while True:
+                    free = self._executor_free()
                     now = time.perf_counter_ns()
                     ready = self._batcher.take_ready(
-                        now, flush_all=self._closed
+                        now if free else None, flush_all=self._closed
                     )
                     if ready or self._closed:
                         break
-                    deadline = self._batcher.next_deadline_ns()
+                    # Busy: ``_wake_dispatcher`` wakes the gate, no timer.
+                    deadline = (
+                        self._batcher.next_deadline_ns() if free else None
+                    )
                     timeout = (
                         None if deadline is None
                         else max(deadline - now, 0) / 1e9
@@ -962,6 +1005,12 @@ class WorkerPool:
                 if slot is None:
                     self._count("serve.pool.ring_full")
         pending.slot = slot
+        counts = (
+            ("serve.pool.dispatched", 1),
+            ("serve.pool.ring_dispatched" if slot is not None
+             else "serve.pool.pipe_dispatched", 1),
+            ("serve.pool.ipc_bytes", elements * 8),
+        )
         start = time.perf_counter_ns()
         sent = False
         try:
@@ -972,36 +1021,31 @@ class WorkerPool:
                 else:
                     np.copyto(frame, source.reshape(-1))
                 ring.commit_frame(slot)
-                with handle.send_lock:
-                    if not (guard and (handle.dead or handle.quarantined)):
-                        handle.conn.send(
-                            ("rbatch", seq, pending.batch.mode.value, slot,
-                             shape, traced)
-                        )
-                        sent = True
+                message = ("rbatch", seq, pending.batch.mode.value, slot,
+                           shape, traced)
             else:
                 payload = (
                     source.fused_raw(self.io_fmt)
                     if isinstance(source, Batch) else source
                 )
-                with handle.send_lock:
-                    if not (guard and (handle.dead or handle.quarantined)):
-                        handle.conn.send(
-                            ("batch", seq, pending.batch.mode.value, payload,
-                             traced)
-                        )
-                        sent = True
+                message = ("batch", seq, pending.batch.mode.value, payload,
+                           traced)
+            with handle.send_lock:
+                if not (guard and (handle.dead or handle.quarantined)):
+                    # Counted first: the worker may answer, and a caller
+                    # read the counters, before send() returns.
+                    for name, n in counts:
+                        self._count(name, n)
+                    sent = True
+                    handle.conn.send(message)
         except (OSError, BrokenPipeError, ServeError):
             # OSError/BrokenPipeError: the worker died under the send.
             # ServeError: its rings were already released — same outcome.
+            if sent:
+                for name, n in counts:
+                    self._count(name, -n)
             sent = False
         if sent:
-            self._count("serve.pool.dispatched")
-            self._count(
-                "serve.pool.ring_dispatched" if slot is not None
-                else "serve.pool.pipe_dispatched"
-            )
-            self._count("serve.pool.ipc_bytes", elements * 8)
             tel = _telemetry.resolve(self.collector)
             if tel is not None:
                 tel.observe_span(
@@ -1116,6 +1160,7 @@ class WorkerPool:
                 handle.conn.send(("close",))
             except (OSError, BrokenPipeError):
                 pass  # dying anyway — its receiver handles the fallout
+        self._wake_dispatcher()
         return True
 
     def _drop_batch(self, batch: Batch, tracer) -> None:

@@ -380,6 +380,9 @@ class ResilienceManager:
                 "serve.resilience.hedge_wins" if hedge_won
                 else "serve.resilience.hedge_losses"
             )
+            # The other attempt, still in flight, holds its worker no
+            # longer: the dispatch gate must look again.
+            pool._wake_dispatcher()
         try:
             flight.batch.finish(
                 body, pool.io_fmt, tel=flight.tel, traces=flight.traces,
@@ -529,6 +532,8 @@ class ResilienceManager:
                         tracer=flight.tracer,
                     )
                     self._unregister(flight)
+                    # A settled flight no longer holds its worker busy.
+                    self.pool._wake_dispatcher()
                 elif hedge:
                     self.pool._count("serve.resilience.hedges")
                     self.pool._send_flight(

@@ -59,11 +59,15 @@ class InferenceServer:
 
     ``workers=1`` (the default) executes batches on the dispatcher
     thread itself — the fastest shape on a single core; ``workers>1``
-    fans fused batches out to a thread pool. The engine's compiled
-    tables are shared through the (thread-safe) table cache either way,
-    and ``table_source`` attaches the cache to a published
-    :class:`~repro.serve.store.SharedTableStore` manifest so the server
-    holds no private table copies at all.
+    fans fused batches out to a thread pool. Either way batching is
+    self-clocked: a group below ``max_batch_elements`` is dispatched as
+    soon as an executor (the dispatcher itself, or a free pool thread)
+    could run it, and keeps filling while every executor is busy;
+    ``max_delay_us`` only sets the least time a group waits for
+    company. The engine's compiled tables are shared through the
+    (thread-safe) table cache either way, and ``table_source`` attaches
+    the cache to a published :class:`~repro.serve.store.SharedTableStore`
+    manifest so the server holds no private table copies at all.
     """
 
     def __init__(
@@ -75,7 +79,7 @@ class InferenceServer:
         fast: Optional[bool] = True,
         workers: int = 1,
         max_batch_elements: int = 4096,
-        max_delay_us: float = 200.0,
+        max_delay_us: float = 0.0,
         max_pending_elements: int = 1 << 20,
         table_source=None,
         collector=None,
@@ -144,6 +148,8 @@ class InferenceServer:
             )
             if workers > 1 else None
         )
+        #: Batches running on ``_pool`` (guarded by ``_cond``).
+        self._busy = 0
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="nacu-serve-dispatch", daemon=True
         )
@@ -179,7 +185,8 @@ class InferenceServer:
             if self._closed:
                 raise ServerClosedError("submit() after close()")
             # An idle dispatcher waits without a timeout, so the first
-            # request of an empty pool must wake it to arm the deadline.
+            # request of an empty pool must wake it, to run the request
+            # at once or to arm its deadline.
             was_idle = not self._batcher
             if not self._batcher.offer(request):
                 self._count("serve.shed")
@@ -199,9 +206,10 @@ class InferenceServer:
             # totals and the every-Nth sample set are identical once the
             # queue drains, and the submit fast path stays free of
             # per-request collector and tracer work.
-            # Below-ceiling groups flush by the dispatcher's own
-            # deadline timeout; waking it per submit just burns one
-            # context switch per request on the coalescing path.
+            # A below-ceiling group leaves on the dispatcher's own
+            # deadline timeout or when a busy executor frees; waking it
+            # per submit just burns one context switch per request on
+            # the coalescing path.
             if was_idle or self._batcher.has_full_group:
                 self._cond.notify()
         return future
@@ -210,7 +218,7 @@ class InferenceServer:
         """Stop accepting requests; drain (or fail) the queue; join.
 
         With ``flush`` (the default) every admitted request still
-        completes before the dispatcher exits; ``flush=False`` fails
+        completes before ``close()`` returns; ``flush=False`` fails
         pending futures with :class:`ServerClosedError` instead.
         """
         with self._cond:
@@ -237,17 +245,24 @@ class InferenceServer:
     # The dispatcher
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
-        in_flight = []
         while True:
             with self._cond:
                 while True:
+                    # The self-clocking gate: below-ceiling groups leave
+                    # only while an executor could run them. With
+                    # workers=1 that is the dispatcher itself, free
+                    # whenever it is here.
+                    free = self._busy < self.workers
                     now = time.perf_counter_ns()
                     ready = self._batcher.take_ready(
-                        now, flush_all=self._closed
+                        now if free else None, flush_all=self._closed
                     )
                     if ready or self._closed:
                         break
-                    deadline = self._batcher.next_deadline_ns()
+                    # Busy: ``_batch_done`` wakes the gate, no timer.
+                    deadline = (
+                        self._batcher.next_deadline_ns() if free else None
+                    )
                     timeout = (
                         None if deadline is None
                         else max(deadline - now, 0) / 1e9
@@ -279,19 +294,24 @@ class InferenceServer:
                         max_retries=self._max_retries,
                     )
             else:
-                in_flight = [f for f in in_flight if not f.done()]
-                in_flight.extend(
+                with self._cond:
+                    self._busy += len(ready)
+                for batch in ready:
                     self._pool.submit(
                         batch.run, self.engine, self.collector, tracer,
                         self.slo, verifier=self._verifier,
                         max_retries=self._max_retries,
-                    )
-                    for batch in ready
-                )
-            if done and not ready:
-                for future in in_flight:
-                    future.result()
+                    ).add_done_callback(self._batch_done)
+            if done:
+                # close() joins this thread, then waits out the pool.
                 return
+
+    def _batch_done(self, future) -> None:
+        """A pool thread freed: wake the gate for the groups it held."""
+        with self._cond:
+            self._busy -= 1
+            self._cond.notify()
+        future.result()  # Batch.run never raises; if it did, say so
 
     def _count(self, name: str, n: int = 1) -> None:
         tel = _telemetry.resolve(self.collector)

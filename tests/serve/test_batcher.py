@@ -94,6 +94,20 @@ class TestCoalescing:
         ready = batcher.take_ready(time.perf_counter_ns())
         assert len(ready) == 1 and ready[0].elements == 64
 
+    def test_without_a_clock_only_full_groups_leave(self):
+        # take_ready(None) is the dispatcher's "every executor is busy".
+        engine = engine_for(8)
+        batcher = MicroBatcher(max_batch_elements=4)
+        batcher.offer(make_request(engine, [0.1] * 4, FunctionMode.TANH))
+        batcher.offer(make_request(engine, [0.1], FunctionMode.SIGMOID))
+        ready = batcher.take_ready(None)
+        assert [batch.mode for batch in ready] == [FunctionMode.TANH]
+        assert batcher.pending_requests == 1
+        # The default delay is zero: a free executor takes it at once.
+        ready = batcher.take_ready(time.perf_counter_ns())
+        assert [batch.mode for batch in ready] == [FunctionMode.SIGMOID]
+        assert not batcher
+
     def test_backpressure_refuses_overflow(self):
         engine = engine_for(8)
         batcher = MicroBatcher(max_pending_elements=4)

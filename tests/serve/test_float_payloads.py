@@ -1,4 +1,4 @@
-"""Float requests on both tiers: the exp domain edge and result aliasing.
+"""Float requests on both tiers: domain edges and result aliasing.
 
 A float request is quantised with its whole batch on the dispatcher, so
 ``submit()`` checks the exp domain with the exact float predicate
@@ -127,3 +127,28 @@ def test_float_results_of_one_batch_do_not_alias(kind, bits):
             if other != index:
                 assert_same_bytes(got, want)
         result[...] = saved
+
+
+@pytest.mark.parametrize("neighbour", [False, True],
+                         ids=["alone", "beside_a_row"])
+@pytest.mark.parametrize("shape", [(3, 0), (0, 5)], ids=["3x0", "0x5"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_empty_softmax_is_refused_at_submit(kind, shape, neighbour):
+    # The serial engine refuses both shapes; served, the refusal must
+    # not depend on whether a valid width-5 row shares the batch.
+    engine = engine_for(12)
+    message = "non-empty 1-D vector or 2-D batch"
+    with pytest.raises(RangeError, match=message):
+        engine.softmax(np.zeros(shape))
+    row = np.linspace(-1.0, 1.0, 5)
+    with make_backend(kind, 12, max_batch_elements=10,
+                      max_delay_us=30_000_000) as backend:
+        parked = backend.submit(row, mode="softmax") if neighbour else None
+        with pytest.raises(RangeError, match=message):
+            backend.submit(np.zeros(shape), mode="softmax")
+        if parked is not None:
+            # The second row fills the group; both answer as usual.
+            filler = backend.submit(row, mode="softmax")
+            for future in (parked, filler):
+                assert_same_bytes(future.result(timeout=30),
+                                  engine.softmax(row))

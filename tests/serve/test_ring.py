@@ -16,6 +16,7 @@ Three layers of coverage:
 import os
 import signal
 import time
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -232,12 +233,13 @@ class TestRingTransport:
         # Stop the worker so dispatched frames cannot drain, overfill
         # the 2-slot ring with 4 single-mode batches: the overflow must
         # cross the pipe (counted), and every answer must still be
-        # bit-exact once the worker resumes.
+        # bit-exact once the worker resumes. Each 9-element request
+        # fills its group, so it ships even though the worker is busy.
         reference = BatchEngine.for_bits(12, fast=True)
         collector = Collector()
         pool = WorkerPool(
             n_bits=12, workers=1, collector=collector,
-            ring_slots=2, max_delay_us=50.0,
+            ring_slots=2, max_batch_elements=9,
         )
         try:
             pool.submit(0.5).result(timeout=30)  # worker is warm
@@ -316,13 +318,39 @@ class TestRingTransport:
         assert "serve.pool.ring_dispatched" not in counters
         assert counters["serve.pool.ipc_bytes"] > 0
 
+    @pytest.mark.parametrize("transport", ["ring", "pipe"])
+    def test_dispatch_is_counted_before_the_worker_can_answer(
+        self, transport, monkeypatch
+    ):
+        # A caller already holding its answer must find the batch
+        # counted, so the counters move before the message goes out.
+        collector = Collector()
+        seen = []
+        send = Connection.send
+
+        def recording_send(conn, obj):
+            if isinstance(obj, tuple) and obj[0] in ("batch", "rbatch"):
+                seen.append(collector.snapshot()["counters"].get(
+                    f"serve.pool.{transport}_dispatched", 0
+                ))
+            return send(conn, obj)
+
+        monkeypatch.setattr(Connection, "send", recording_send)
+        with WorkerPool(
+            n_bits=12, workers=1, transport=transport, collector=collector
+        ) as pool:
+            pool.submit(np.linspace(-1, 1, 16)).result(timeout=30)
+        assert seen == [1]
+
 
 class TestCrashForensics:
     def test_crash_report_carries_seqs_and_slot_state(self):
         collector = Collector()
+        # Each 256-element request fills its group, so both ship into
+        # the stopped worker instead of waiting for it to free up.
         pool = WorkerPool(
             n_bits=12, workers=1, restart=False, collector=collector,
-            max_delay_us=50.0,
+            max_batch_elements=256,
         )
         try:
             pool.submit(0.25).result(timeout=30)
