@@ -1,8 +1,8 @@
 """Worker-pool scaling soak: req/s and p99 vs worker count, bit-exact.
 
-Not a paper figure: this bench pins the ISSUE 8 acceptance criteria
-(``pool_scaling``) and the ISSUE 10 ring-transport criterion
-(``pool_transport``).
+Not a paper figure: this bench pins the pool's scaling and accounting
+criteria (``pool_scaling``) and the ring's advantage over its pipe
+overflow lane (``pool_transport``).
 
 ``pool_scaling`` drives the same ≥4096-request mixed-mode closed-loop
 storm through a :class:`~repro.serve.pool.WorkerPool` at 1, 2 and 4
@@ -29,8 +29,10 @@ asserts three things:
 ``pool_transport`` isolates the IPC lane itself: one worker, serial
 round-trips of large fixed-point sigmoid batches (so per-batch
 serialize+copy cost dominates compute), rounds **interleaved** between
-the pickled-pipe and shared-memory ring transports so drift hits both
-equally. Each row carries the per-batch accounting that makes the win
+the shared-memory ring and the pickled-pipe overflow lane so drift hits
+both equally. The pipe side is a pool whose one-element ring slots no
+batch fits, so every batch overflows (``serve.pool.ring_oversize``).
+Each row carries the per-batch accounting that makes the win
 attributable — bytes/batch from ``serve.pool.ipc_bytes``, parent-side
 serialize+copy µs from the ``serve.pool.ship`` timer, and batches/s —
 and the ring must clear ``MIN_RING_SPEEDUP`` (2x) the pipe's 1-worker
@@ -149,7 +151,6 @@ def test_pool_scaling_req_per_s_and_exactness(record_result):
         req_per_s[workers] = report.req_per_s
         rows.append({
             "workers": workers,
-            "transport": "ring",
             "requests": N_REQUESTS,
             "req_per_s": round(report.req_per_s),
             "client_p50_ms": round(report.p50_ms, 2),
@@ -192,7 +193,6 @@ def test_pool_scaling_req_per_s_and_exactness(record_result):
     )
     rows.append({
         "workers": "2 resilient",
-        "transport": "ring",
         "requests": N_REQUESTS,
         "req_per_s": round(resilient.req_per_s),
         "client_p50_ms": round(resilient.p50_ms, 2),
@@ -207,7 +207,6 @@ def test_pool_scaling_req_per_s_and_exactness(record_result):
     speedup = req_per_s[4] / req_per_s[1]
     rows.append({
         "workers": "4 vs 1",
-        "transport": "ring",
         "requests": N_REQUESTS,
         "req_per_s": round(speedup, 2),
         "client_p50_ms": None,
@@ -247,7 +246,7 @@ def test_pool_scaling_req_per_s_and_exactness(record_result):
 
 
 # ----------------------------------------------------------------------
-# ISSUE 10: the transport dimension — ring vs pickled pipe, attributed
+# The IPC lane — ring vs its pickled-pipe overflow, attributed
 # ----------------------------------------------------------------------
 #: Large enough that per-batch IPC (512 KiB of raw words each way)
 #: dominates the worker's table-lookup compute; the pipe has to chunk
@@ -271,12 +270,14 @@ def test_transport_ring_vs_pipe(record_result):
     want = reference.sigmoid_fx(x).raw
 
     pools = {}
-    collectors = {}
-    for transport in ("pipe", "ring"):
-        collectors[transport] = Collector()
+    # One-element slots send every batch over the pipe as oversize; the
+    # default slots (two batch ceilings) take every batch on the ring.
+    slot_elements = {"pipe": 1, "ring": None}
+    for transport, elements in slot_elements.items():
         pools[transport] = WorkerPool(
-            config=config, workers=1, collector=collectors[transport],
-            max_batch_elements=TRANSPORT_ELEMENTS, transport=transport,
+            config=config, workers=1, collector=Collector(),
+            max_batch_elements=TRANSPORT_ELEMENTS,
+            ring_slot_elements=elements,
         )
 
     best = {"pipe": 0.0, "ring": 0.0}

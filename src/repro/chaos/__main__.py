@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from repro.chaos.soak import default_sweep, run_sweep
 
@@ -30,17 +29,9 @@ def main(argv=None) -> int:
         "--json", metavar="PATH", default=None,
         help="also write the report rows as JSON",
     )
-    parser.add_argument(
-        "--transport", choices=("ring", "pipe"), default="ring",
-        help="pool IPC transport every scenario runs over "
-             "(default: shared-memory slot rings)",
-    )
     args = parser.parse_args(argv)
 
-    scenarios = [
-        replace(s, transport=args.transport)
-        for s in default_sweep(args.profile)
-    ]
+    scenarios = default_sweep(args.profile)
     print(f"chaos sweep ({args.profile}): {len(scenarios)} scenario(s)")
     reports = run_sweep(scenarios)
 

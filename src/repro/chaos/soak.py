@@ -64,9 +64,6 @@ class ChaosScenario:
     name: str
     n_bits: int = 12
     workers: int = 2
-    #: Pool transport under test: shared-memory slot rings or pickled
-    #: pipes (the fallback/oracle lane). Chaos claims must hold on both.
-    transport: str = "ring"
     #: Offered traffic: ``requests`` arrivals at ``rate_rps`` drawn from
     #: the ``arrival`` process, all seeded by ``seed``.
     requests: int = 200
@@ -112,11 +109,6 @@ class ChaosScenario:
             raise ConfigError("a scenario offers at least one request")
         if self.kill_after_s < 0:
             raise ConfigError("kill_after_s must be non-negative")
-        if self.transport not in ("ring", "pipe"):
-            raise ConfigError(
-                f"unknown transport {self.transport!r}; "
-                "options: ring, pipe"
-            )
         object.__setattr__(self, "modes", tuple(self.modes))
         if not self.modes:
             raise ConfigError("a scenario serves at least one mode")
@@ -224,7 +216,6 @@ class SoakReport:
             "fault_rate": s.fault_rate,
             "mitigation": s.mitigation,
             "workers": s.workers,
-            "transport": s.transport,
             "n_bits": s.n_bits,
             "guard_visible": s.guard_visible,
             "offered": self.offered,
@@ -336,7 +327,6 @@ def run_soak(scenario: ChaosScenario,
         resilience=scenario.policy(),
         fault_plan=scenario.fault_plan(config),
         dispatch_wait_s=scenario.dispatch_wait_s,
-        transport=scenario.transport,
     )
     try:
         if scenario.kill_after_s > 0:

@@ -3,8 +3,7 @@
 Usage::
 
     PYTHONPATH=src python -m repro.loadgen [--profile quick|soak]
-        [--backend pool|server] [--pool-workers 2] [--transport ring|pipe]
-        [--bits 12]
+        [--backend pool|server] [--pool-workers 2] [--bits 12]
         [--loop closed|open] [--arrivals poisson|uniform|bursty]
         [--rate 2000] [--requests N] [--concurrency 8] [--seed 0]
         [--no-verify]
@@ -46,10 +45,6 @@ def main(argv=None) -> int:
     parser.add_argument("--backend", choices=("pool", "server"),
                         default="pool")
     parser.add_argument("--pool-workers", type=int, default=2)
-    parser.add_argument("--transport", choices=("ring", "pipe"),
-                        default="ring",
-                        help="pool IPC transport (ignored for the "
-                             "in-process server backend)")
     parser.add_argument("--bits", type=int, default=12)
     parser.add_argument("--loop", choices=("closed", "open"),
                         default="closed")
@@ -84,8 +79,7 @@ def main(argv=None) -> int:
     )
 
     if args.backend == "pool":
-        backend = WorkerPool(n_bits=args.bits, workers=args.pool_workers,
-                             transport=args.transport)
+        backend = WorkerPool(n_bits=args.bits, workers=args.pool_workers)
     else:
         backend = InferenceServer(n_bits=args.bits)
     failures = []

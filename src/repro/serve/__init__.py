@@ -1,6 +1,6 @@
 """The serving layer: shared table images + micro-batched inference.
 
-Five pieces, separable and composable:
+Six pieces, separable and composable:
 
 * :mod:`repro.serve.store` — publish compiled response tables once into
   shared memory (or map persisted ``.npz`` files in place) and attach N
@@ -10,12 +10,13 @@ Five pieces, separable and composable:
   fastest at, bit-identically and with explicit backpressure;
 * :mod:`repro.serve.server` — the in-process ``submit()``/``close()``
   front end tying both to a dispatcher thread, with ``serve.*``
-  telemetry;
+  telemetry; its admission, dispatcher and close are shared by the pool;
 * :mod:`repro.serve.pool` — the scale-out tier: N forked worker
   processes attached read-only to one shared table image, batched
-  hand-off through zero-copy shared-memory slot rings (pickled pipes as
-  fallback and differential oracle), crash detection and restart — same
-  client contract, same bytes;
+  hand-off through zero-copy shared-memory slot rings (a pickled pipe
+  message carries only the batches a slot cannot: oversize, or every
+  slot in flight), crash detection and restart — same client contract,
+  same bytes;
 * :mod:`repro.serve.frontend` — the asyncio front door: async
   ``submit()`` with admission control that sheds before queues grow,
   over either backend;

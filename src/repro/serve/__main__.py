@@ -3,8 +3,7 @@
 Usage::
 
     PYTHONPATH=src python -m repro.serve [--bits 16] [--requests 2048]
-        [--clients 4] [--workers 1] [--pool N] [--transport ring|pipe]
-        [--max-batch 4096]
+        [--clients 4] [--workers 1] [--pool N] [--max-batch 4096]
         [--delay-us 0] [--report] [--trace] [--trace-sample 16]
         [--slo-ms 50] [--prom-out metrics.prom] [--trace-out traces.jsonl]
 
@@ -33,6 +32,7 @@ import time
 import numpy as np
 
 from repro.engine import BatchEngine
+from repro.loadgen import make_requests
 from repro.serve import InferenceServer, WorkerPool
 from repro.telemetry import (
     Collector,
@@ -46,23 +46,6 @@ from repro.telemetry import (
 )
 from repro.telemetry.report import render_snapshot
 
-MODES = ("sigmoid", "tanh", "exp", "softmax")
-
-
-def _make_requests(rng: np.random.Generator, count: int):
-    requests = []
-    for _ in range(count):
-        mode = MODES[int(rng.integers(len(MODES)))]
-        if mode == "softmax":
-            x = rng.uniform(-4, 4, size=(int(rng.integers(2, 9)),))
-        elif mode == "exp":
-            x = rng.uniform(-8, 0, size=(int(rng.integers(1, 17)),))
-        else:
-            x = rng.uniform(-6, 6, size=(int(rng.integers(1, 17)),))
-        requests.append((mode, x))
-    return requests
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--bits", type=int, default=16)
@@ -73,10 +56,6 @@ def main(argv=None) -> int:
                         help="serve through a WorkerPool of N forked "
                              "processes instead of the in-process server")
     parser.add_argument("--max-batch", type=int, default=4096)
-    parser.add_argument("--transport", choices=("ring", "pipe"),
-                        default="ring",
-                        help="pool IPC transport: shared-memory slot "
-                             "rings (default) or pickled pipes")
     parser.add_argument("--delay-us", type=float, default=None,
                         help="least time a batch group waits for company "
                              "(default: the server's own, 0)")
@@ -101,7 +80,7 @@ def main(argv=None) -> int:
         parser.error("--trace-out needs --trace")
 
     reference = BatchEngine.for_bits(args.bits, fast=True)
-    requests = _make_requests(np.random.default_rng(0), args.requests)
+    requests = make_requests(args.requests, rng=0)
     shards = [requests[i::args.clients] for i in range(args.clients)]
     futures = [[] for _ in shards]
 
@@ -121,9 +100,7 @@ def main(argv=None) -> int:
         knobs["max_delay_us"] = args.delay_us
     with use_collector(collector):
         if args.pool is not None:
-            server = WorkerPool(
-                workers=args.pool, transport=args.transport, **knobs
-            )
+            server = WorkerPool(workers=args.pool, **knobs)
         else:
             server = InferenceServer(workers=args.workers, **knobs)
         start = time.perf_counter()

@@ -12,22 +12,22 @@ scale-out tier on top of the same building blocks:
 * the parent keeps the :class:`~repro.serve.batcher.MicroBatcher` and
   ships **whole fused batches**, so the micro-batcher's coalescing
   survives the process hop: one message per batch, never one per
-  request. Batching is self-clocked: a group below the batch ceiling
-  leaves as soon as some worker has nothing in flight, and keeps
-  filling while every worker is busy. Under the default
-  ``transport="ring"`` the payload never crosses the pipe at all: the
-  parent gathers the fused raw words straight into a free slot of a
-  per-worker :class:`~repro.serve.store.SlotRing` (preallocated SPSC request/
+  request. Admission, the self-clocked dispatcher and ``close()`` are
+  the in-process server's own (:class:`~repro.serve.server._FrontEnd`):
+  a group below the batch ceiling leaves as soon as some worker has
+  nothing in flight, and keeps filling while every worker is busy. The
+  payload normally never crosses the pipe: the parent gathers the fused
+  raw words straight into a free slot of a per-worker
+  :class:`~repro.serve.store.SlotRing` (preallocated SPSC request/
   response rings in ``multiprocessing.shared_memory``) and sends only a
   tiny doorbell — ``(seq, mode, slot, shape)`` — over the duplex pipe;
   the worker evaluates from a zero-copy view and writes the result into
   the paired response slot. No pickle, no intermediate copies; slot
   framing carries generation/commit words so a frame torn by a SIGKILL
-  mid-write is detected, never served. ``transport="pipe"`` keeps the
-  original pickled-payload messages — and even under ``ring`` the pipe
-  carries any batch too large for a slot (``serve.pool.ring_oversize``)
-  or arriving while every slot is in flight (``serve.pool.ring_full``),
-  so the ring bounds memory, not admission;
+  mid-write is detected, never served. Only a batch too large for a
+  slot (``serve.pool.ring_oversize``) or arriving while every slot is
+  in flight (``serve.pool.ring_full``) overflows onto a pickled-payload
+  pipe message, so the ring bounds memory, not admission;
 * batches route to the **least-loaded** worker (fewest outstanding
   elements), and every response is raw-bit-identical to the serial
   engine because both sides run the same
@@ -64,29 +64,21 @@ import multiprocessing
 import pickle
 import threading
 import time
-from concurrent.futures import Future
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.compile.cache import TableCache
-from repro.errors import (
-    BackpressureError,
-    ServeError,
-    ServerClosedError,
-    WorkerCrashError,
-)
+from repro.errors import ServeError, WorkerCrashError
 from repro.faults import inject as _inject
 from repro.faults.plan import FaultPlan
 from repro.nacu.config import FunctionMode, NacuConfig
-from repro.serve.batcher import (
-    SERVABLE_MODES,
-    Batch,
-    MicroBatcher,
-    build_request,
-    evaluate_fused,
-)
+from repro.serve.batcher import Batch, evaluate_fused
+# Unused here (the shared front end builds requests); kept so that
+# ``repro.serve.pool.build_request`` stays importable.
+from repro.serve.batcher import build_request  # noqa: F401
 from repro.serve.resilience import ResilienceManager, ResponsePolicy
+from repro.serve.server import _FrontEnd
 from repro.serve.store import (
     AttachedTableSource,
     RingManifest,
@@ -96,9 +88,6 @@ from repro.serve.store import (
 from repro.telemetry import collector as _telemetry
 from repro.telemetry import trace as _tracing
 from repro.telemetry.collector import Collector, merge_snapshots
-from repro.telemetry.slo import SLOAccountant, SLOPolicy
-
-_MODE_BY_NAME = {mode.value: mode for mode in SERVABLE_MODES}
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +118,8 @@ def _worker_main(conn, config: NacuConfig, fast: bool, manifest,
     zero-copy lane: an ``rbatch`` doorbell names a slot whose payload is
     read in place from the request ring and whose result is written in
     place to the response ring — the same :func:`evaluate_fused` kernel
-    either way, so the bytes cannot differ between transports.
+    as a ``batch`` message's pickled payload, so the bytes cannot differ
+    between the ring and its pipe overflow.
 
     ``fault_plan`` is this worker's private shard of the pool's chaos
     plan, armed *here* — after the fork, in the child only — so the
@@ -246,7 +236,8 @@ class _Pending:
         self.flight = flight
         #: This attempt's index within the flight (0 = primary).
         self.attempt = attempt
-        #: The ring slot this attempt occupies (None: pipe transport).
+        #: The ring slot this attempt occupies (None: it overflowed
+        #: onto the pipe).
         self.slot = None
         #: The payload shape — what the response frame reshapes to.
         self.shape: Optional[Tuple[int, ...]] = None
@@ -277,7 +268,7 @@ class _WorkerHandle:
         #: Set (under ``send_lock``) when the resilience policy benches
         #: this worker: no new batches, graceful drain, then replacement.
         self.quarantined = False
-        #: This worker's paired payload rings (None: pipe transport).
+        #: This worker's paired payload rings (None once released).
         self.request_ring: Optional[SlotRing] = None
         self.response_ring: Optional[SlotRing] = None
         #: Free slot indices, shared by both rings (a request slot and
@@ -285,7 +276,7 @@ class _WorkerHandle:
         self.free_slots: List[int] = []
 
 
-class WorkerPool:
+class WorkerPool(_FrontEnd):
     """N forked worker processes serving one NACU configuration.
 
     >>> from repro.serve import WorkerPool
@@ -300,6 +291,8 @@ class WorkerPool:
     where batches evaluate, never what bytes come back.
     """
 
+    _tier = "pool"
+
     def __init__(
         self,
         *,
@@ -309,7 +302,6 @@ class WorkerPool:
         fast: bool = True,
         share_tables: bool = True,
         restart: bool = True,
-        transport: str = "ring",
         ring_slots: int = 8,
         ring_slot_elements: Optional[int] = None,
         max_batch_elements: int = 4096,
@@ -335,23 +327,18 @@ class WorkerPool:
             )
         elif n_bits is not None:
             raise ServeError("pass either a config or n_bits, not both")
-        if transport not in ("ring", "pipe"):
-            raise ServeError(
-                f"unknown transport {transport!r}; choose 'ring' (zero-copy "
-                f"shared-memory slots) or 'pipe' (pickled payloads)"
-            )
         if ring_slots < 1:
             raise ServeError("ring_slots must be positive")
+        super().__init__(
+            max_batch_elements=max_batch_elements,
+            max_delay_us=max_delay_us,
+            max_pending_elements=max_pending_elements,
+            collector=collector, tracer=tracer, slo=slo,
+        )
         self.config = config
         self.workers = workers
         self.fast = fast
         self.restart = restart
-        #: Which lane fused payloads take to the workers. ``"ring"``
-        #: (the default) is the zero-copy shared-memory transport with
-        #: the pipe as oversize/full-ring fallback; ``"pipe"`` is the
-        #: original pickled-payload transport, kept as the differential
-        #: -testing oracle.
-        self.transport = transport
         self._ring_slots = ring_slots
         # Two batch ceilings per slot: room for the batcher's overflow
         # regime (a group may exceed the ceiling by one request) and for
@@ -367,12 +354,6 @@ class WorkerPool:
         #: injected stream a property of the slot, not of pool history.
         self._plan_shards = (
             fault_plan.shard(workers) if fault_plan is not None else None
-        )
-        self.collector = collector
-        self.tracer = tracer
-        self.slo = (
-            SLOAccountant(slo, collector=collector)
-            if isinstance(slo, SLOPolicy) else slo
         )
         if mp_context is None:
             # fork is the whole point (attach without re-import); spawn
@@ -400,14 +381,6 @@ class WorkerPool:
                 store.unlink()
                 self._count("serve.pool.publish_fallback")
 
-        self._batcher = MicroBatcher(
-            max_batch_elements=max_batch_elements,
-            max_delay_us=max_delay_us,
-            max_pending_elements=max_pending_elements,
-        )
-        self._cond = threading.Condition()
-        self._closed = False
-        self._flush_on_close = True
         self._seq = itertools.count()
         self._snapshot_waits: Dict[int, list] = {}
         self._handles: List[_WorkerHandle] = []
@@ -427,71 +400,20 @@ class WorkerPool:
             self._start_receiver(handle)
         if resilience is not None:
             self._resilience = ResilienceManager(self, resilience)
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="nacu-pool-dispatch", daemon=True
-        )
-        self._dispatcher.start()
+        self._start_dispatcher("nacu-pool-dispatch")
 
-    # ------------------------------------------------------------------
-    # The client API (mirrors InferenceServer)
-    # ------------------------------------------------------------------
     @property
     def io_fmt(self):
         """The served fixed-point I/O format (``build_request`` contract)."""
         return self.config.io_fmt
 
-    def submit(
-        self,
-        x,
-        mode: Union[FunctionMode, str] = FunctionMode.SIGMOID,
-        axis: int = -1,
-    ) -> Future:
-        """Enqueue one evaluation; the future resolves in request kind."""
-        if isinstance(mode, str):
-            try:
-                mode = _MODE_BY_NAME[mode]
-            except KeyError:
-                raise ServeError(
-                    f"unknown mode {mode!r}; servable modes: "
-                    f"{sorted(_MODE_BY_NAME)}"
-                ) from None
-        future: Future = Future()
-        request = build_request(future, x, mode, axis, self)
-        with self._cond:
-            if self._closed:
-                raise ServerClosedError("submit() after close()")
-            was_idle = not self._batcher
-            if not self._batcher.offer(request):
-                self._count("serve.shed")
-                if self.slo is not None:
-                    self.slo.record_shed()
-                raise BackpressureError(
-                    f"pending pool full "
-                    f"({self._batcher.pending_elements} elements held, "
-                    f"{request.elements} more would exceed "
-                    f"{self._batcher.max_pending_elements}); retry later"
-                )
-            if was_idle or self._batcher.has_full_group:
-                self._cond.notify()
-        return future
+    def _shutdown(self) -> None:
+        """After the dispatcher joined: drain, retire the workers, unlink.
 
-    def close(self, flush: bool = True) -> None:
-        """Drain (or fail) the queue, retire the workers, join everything.
-
-        With ``flush`` (the default) every admitted request still
-        resolves: the dispatcher ships the remaining batches, each
-        worker answers them **before** its final snapshot (pipe FIFO),
-        and only then do the processes exit. ``flush=False`` fails
-        requests that never reached a worker with
-        :class:`ServerClosedError`; batches already in flight complete.
+        Under ``close(flush=True)`` the dispatcher has shipped every
+        remaining batch, and each worker answers them **before** its
+        final snapshot (pipe FIFO); only then do the processes exit.
         """
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            self._flush_on_close = flush
-            self._cond.notify_all()
-        self._dispatcher.join()
         if self._resilience is not None:
             # Every flight resolves (retries included) while the workers
             # are still alive to land them on; only then do the workers
@@ -525,10 +447,6 @@ class WorkerPool:
         if self._store is not None:
             self._store.unlink()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def alive_workers(self) -> int:
         """How many workers are currently live."""
         return sum(
@@ -542,12 +460,6 @@ class WorkerPool:
             handle.process.pid for handle in self._handles
             if not handle.dead and handle.process.is_alive()
         ]
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -614,21 +526,18 @@ class WorkerPool:
         )
         # Fresh rings per process generation: a restarted worker never
         # inherits frames (possibly torn) from its predecessor.
-        rings = None
-        request_ring = response_ring = None
-        if self.transport == "ring":
-            request_ring = SlotRing.create(
-                "req", self._ring_slots, self._ring_slot_elements
-            )
-            response_ring = SlotRing.create(
-                "resp", self._ring_slots, self._ring_slot_elements
-            )
-            rings = RingManifest(
-                request_name=request_ring.name,
-                response_name=response_ring.name,
-                slots=self._ring_slots,
-                slot_elements=self._ring_slot_elements,
-            )
+        request_ring = SlotRing.create(
+            "req", self._ring_slots, self._ring_slot_elements
+        )
+        response_ring = SlotRing.create(
+            "resp", self._ring_slots, self._ring_slot_elements
+        )
+        rings = RingManifest(
+            request_name=request_ring.name,
+            response_name=response_ring.name,
+            slots=self._ring_slots,
+            slot_elements=self._ring_slot_elements,
+        )
         process = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self.config, self.fast, self._manifest,
@@ -643,8 +552,7 @@ class WorkerPool:
         handle = _WorkerHandle(worker_id, process, parent_conn)
         handle.request_ring = request_ring
         handle.response_ring = response_ring
-        if rings is not None:
-            handle.free_slots = list(range(self._ring_slots))
+        handle.free_slots = list(range(self._ring_slots))
         return handle
 
     def _start_receiver(self, handle: _WorkerHandle) -> None:
@@ -889,10 +797,6 @@ class WorkerPool:
                 best = handle
         return best
 
-    def _least_loaded(self) -> Optional[_WorkerHandle]:
-        """The live worker holding the fewest outstanding elements."""
-        return self._pick_handle()
-
     def _await_worker(self) -> Optional[_WorkerHandle]:
         """Optionally ride out an all-workers-dead window.
 
@@ -936,55 +840,23 @@ class WorkerPool:
                 return True
         return not live
 
-    def _wake_dispatcher(self) -> None:
-        """Make the dispatcher re-run the gate: a worker freed or left."""
-        with self._cond:
-            self._cond.notify()
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._cond:
-                while True:
-                    free = self._executor_free()
-                    now = time.perf_counter_ns()
-                    ready = self._batcher.take_ready(
-                        now if free else None, flush_all=self._closed
-                    )
-                    if ready or self._closed:
-                        break
-                    # Busy: ``_wake_dispatcher`` wakes the gate, no timer.
-                    deadline = (
-                        self._batcher.next_deadline_ns() if free else None
-                    )
-                    timeout = (
-                        None if deadline is None
-                        else max(deadline - now, 0) / 1e9
-                    )
-                    self._cond.wait(timeout)
-                done = self._closed and not self._batcher
-            tracer = _tracing.resolve(self.tracer)
-            if self._closed and not self._flush_on_close:
-                for batch in ready:
-                    self._drop_batch(batch, tracer)
-            else:
-                for batch in ready:
-                    self._ship(batch, tracer)
-            if done:
-                return
+    def _run(self, ready, tracer) -> None:
+        for batch in ready:
+            self._ship(batch, tracer)
 
     def _transmit(self, handle: _WorkerHandle, seq: int, pending: _Pending,
                   source, traced: bool, guard: bool) -> bool:
-        """Ship one fused payload to ``handle`` over the active lane.
+        """Ship one fused payload to ``handle``: ring slot, else pipe.
 
         ``source`` is either the :class:`Batch` itself (gathered
         straight into a ring frame — no intermediate concatenation) or a
         pre-fused ndarray (a resilience flight's persistent payload,
         copied in). A free ring slot that fits takes the zero-copy lane:
         payload into the request frame, commit, then the tiny doorbell
-        over the pipe. Oversize payloads and full rings fall back to the
-        pickled pipe message — counted, never refused. ``guard`` skips
-        the send when the worker is dead or quarantined (the flight
-        path's contract); returns whether the payload went out.
+        over the pipe. Oversize payloads and full rings overflow onto
+        the pickled pipe message — counted, never refused. ``guard``
+        skips the send when the worker is dead or quarantined (the
+        flight path's contract); returns whether the payload went out.
         """
         if isinstance(source, Batch):
             elements = source.elements
@@ -993,6 +865,8 @@ class WorkerPool:
             elements = source.size
             shape = source.shape
         pending.shape = shape
+        # None only once a dead worker's rings were released: the send
+        # below then fails like any other send to a dead worker.
         ring = handle.request_ring
         slot = None
         if ring is not None:
@@ -1015,12 +889,12 @@ class WorkerPool:
         sent = False
         try:
             if slot is not None:
-                frame = ring.open_frame(slot, seq, elements)
                 if isinstance(source, Batch):
+                    frame = ring.open_frame(slot, seq, elements)
                     source.gather_into(frame, self.io_fmt)
+                    ring.commit_frame(slot)
                 else:
-                    np.copyto(frame, source.reshape(-1))
-                ring.commit_frame(slot)
+                    ring.write_frame(slot, seq, source)
                 message = ("rbatch", seq, pending.batch.mode.value, slot,
                            shape, traced)
             else:
@@ -1061,7 +935,7 @@ class WorkerPool:
         if self._resilience is not None:
             self._resilience.launch(batch, tracer)
             return
-        handle = self._least_loaded()
+        handle = self._pick_handle()
         if handle is None:
             handle = self._await_worker()
         dispatch_ns = time.perf_counter_ns()
@@ -1163,26 +1037,6 @@ class WorkerPool:
         self._wake_dispatcher()
         return True
 
-    def _drop_batch(self, batch: Batch, tracer) -> None:
-        """``close(flush=False)``: fail a never-dispatched batch."""
-        now = time.perf_counter_ns()
-        self._count("serve.requests", len(batch.requests))
-        exc = ServerClosedError("pool closed before dispatch")
-        for request in batch.requests:
-            request.future.set_exception(exc)
-            if request.trace is not None:
-                request.trace.dispatch_ns = now
-                request.trace.status = "shed"
-                if tracer is not None:
-                    tracer.retire(request.trace)
-        if self.slo is not None:
-            self.slo.record_many([0] * len(batch.requests), ok=False)
-
-    def _count(self, name: str, n: int = 1) -> None:
-        tel = _telemetry.resolve(self.collector)
-        if tel is not None:
-            tel.count(name, n)
-
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         shared = (
@@ -1191,6 +1045,6 @@ class WorkerPool:
         )
         return (
             f"<WorkerPool {state}, {self.alive_workers()}/{self.workers} "
-            f"workers live, {self.transport} transport, {shared}, "
+            f"workers live, {shared}, "
             f"{self._batcher.pending_requests} pending>"
         )

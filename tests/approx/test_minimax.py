@@ -38,6 +38,24 @@ class TestFitLinear:
         assert fit.intercept == pytest.approx(-0.125, abs=1e-6)
         assert fit.max_error == pytest.approx(0.125, abs=1e-6)
 
+    def test_exp_on_unit_interval(self):
+        # Minimax line for e^x on [0,1]: slope e - 1, error ~0.105933.
+        fit = fit_linear(np.exp, 0.0, 1.0)
+        assert fit.slope == pytest.approx(np.e - 1.0, abs=1e-6)
+        assert fit.max_error == pytest.approx(0.105933, abs=1e-4)
+
+    def test_residual_equioscillates(self):
+        # Chebyshev: the best line touches +-max_error at three points
+        # of alternating sign.
+        fit = fit_linear(sigmoid, 0.0, 2.0)
+        grid = np.linspace(0.0, 2.0, 4001)
+        residual = sigmoid(grid) - fit.eval(grid)
+        peaks = np.abs(residual) >= 0.98 * fit.max_error
+        signs = np.sign(residual[peaks])
+        runs = signs[np.r_[True, signs[1:] != signs[:-1]]]
+        assert len(runs) >= 3
+        assert np.all(runs[1:] == -runs[:-1])
+
     def test_beats_endpoint_interpolation(self):
         fit = fit_linear(sigmoid, 0.0, 2.0)
         # Endpoint interpolation error for comparison.

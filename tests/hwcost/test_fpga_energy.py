@@ -1,44 +1,13 @@
-"""Tests for the FPGA logic-element and energy models."""
+"""Tests for the per-result and per-workload energy model."""
 
 import pytest
 
-from repro.hwcost.components import (
-    adder_cost,
-    lut_cost,
-    multiplier_cost,
-    register_cost,
-)
 from repro.hwcost.energy import (
     cycles_energy_nj,
     energy_per_result_pj,
     workload_energy_nj,
 )
-from repro.hwcost.fpga import le_report, logic_elements
 from repro.nacu.config import FunctionMode, NacuConfig
-
-
-class TestLogicElements:
-    def test_adder_le_count_near_one_per_bit(self):
-        # The classic rule of thumb: a ripple adder is ~1 LE per bit.
-        les = logic_elements(adder_cost(16))
-        assert 12 <= les <= 28
-
-    def test_multiplier_les_in_published_ballpark(self):
-        # [14]'s 18-bit parabolic design reports 481 LEs; its dominant
-        # blocks are two ~18-bit multipliers — each a few hundred LEs.
-        les = logic_elements(multiplier_cost(18, 18))
-        assert 200 <= les <= 800
-
-    def test_registers_contribute(self):
-        assert logic_elements(register_cost(64)) > 0
-
-    def test_report_fields(self):
-        report = le_report(adder_cost(8) + register_cost(8))
-        assert set(report) == {"logic_elements", "lut_functions", "flip_flops"}
-        assert report["flip_flops"] == 8
-
-    def test_monotone_in_size(self):
-        assert logic_elements(lut_cost(128, 32)) > logic_elements(lut_cost(16, 32))
 
 
 class TestEnergy:

@@ -49,6 +49,12 @@ class TestBitExactness:
         out = RestoringDivider(QFormat(4, 11)).divide(num, den)
         np.testing.assert_allclose(out.to_float(), [0.5, 1.0, 1.5])
 
+    def test_zero_dividend(self):
+        out = RestoringDivider(QUOT).divide(
+            FxArray.from_float(0.0, IO), FxArray.from_float(1.0, IO)
+        )
+        assert int(out.raw) == 0
+
     def test_division_by_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             RestoringDivider(QUOT).divide(

@@ -10,6 +10,7 @@ import pytest
 from repro.engine import BatchEngine
 from repro.errors import (
     ConfigError,
+    ReproError,
     ResponseVerificationError,
     WorkerCrashError,
 )
@@ -177,6 +178,55 @@ class TestArmedDefence:
             "the armed plan never tripped the verifier — vacuous test"
         )
         assert counters.get("serve.resilience.corrected", 0) > 0 or loud > 0
+
+    def test_retry_corrects_msb_upsets_over_the_pipe_overflow(self):
+        """The defence holds whichever lane carried the bytes.
+
+        One-element ring slots fit no request here (each has two to
+        four elements), so every batch overflows onto the pickled pipe
+        message. Requests go in waves of four, which keeps batches short
+        enough that a retry usually comes back clean.
+        """
+        n_bits = 12
+        reference = BatchEngine.for_bits(n_bits, fast=True)
+        plan = FaultPlan(seed=7, specs=(
+            FaultSpec(site=IO_OUT, model=FaultModel.TRANSIENT,
+                      rate=0.02, bit=n_bits - 1),
+        ))
+        collector = Collector()
+        rng = np.random.default_rng(7)
+        requests = [
+            ("sigmoid" if i % 2 else "tanh",
+             rng.uniform(-6, 6, size=(int(rng.integers(2, 5)),)))
+            for i in range(240)
+        ]
+        futures = []
+        with WorkerPool(
+            n_bits=n_bits, workers=2, collector=collector,
+            resilience=ResponsePolicy(max_retries=3), fault_plan=plan,
+            ring_slot_elements=1,
+        ) as pool:
+            for start in range(0, len(requests), 4):
+                wave = [pool.submit(x, mode=mode)
+                        for mode, x in requests[start:start + 4]]
+                for future in wave:
+                    future.exception(timeout=120)
+                futures.extend(wave)
+        answered = 0
+        for (mode, x), future in zip(requests, futures):
+            exc = future.exception(timeout=0)
+            if exc is not None:
+                assert isinstance(exc, ReproError), repr(exc)
+                continue
+            want = np.asarray(getattr(reference, mode)(x))
+            assert np.array_equal(np.asarray(future.result()), want), mode
+            answered += 1
+        counters = pool.telemetry_snapshot()["counters"]
+        assert counters["serve.pool.pipe_dispatched"] >= 1
+        assert "serve.pool.ring_dispatched" not in counters
+        assert counters.get("serve.resilience.verify_failures", 0) >= 1
+        assert counters.get("serve.resilience.corrected", 0) >= 1
+        assert answered > len(requests) // 2, answered
 
     def test_quarantine_restart_drain_preserves_exact_telemetry(self):
         """Strike -> quarantine -> restart -> drain keeps exact counts.

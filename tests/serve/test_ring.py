@@ -5,12 +5,13 @@ Three layers of coverage:
 * :class:`repro.serve.store.SlotRing` as a data structure — frame
   roundtrips, wraparound generations, torn-frame refusal (property
   tests);
-* the pool's transport behaviour — full-ring and oversize fallbacks to
+* the pool's transport behaviour — full-ring and oversize overflow onto
   the pipe, FxArray slot-reuse safety, crash forensics after a SIGKILL
   with frames in flight;
-* the differential oracle — the same mixed-mode request stream through
-  ``transport="pipe"`` and ``transport="ring"`` must produce identical
-  raw bytes at 8/12/16 bits, both equal to the serial engine.
+* the differential check — the same mixed-mode request stream through
+  a pool whose batches overflow onto the pipe (one-element slots) and
+  one whose batches ride the ring must produce identical raw bytes at
+  8/12/16 bits, both equal to the serial engine.
 """
 
 import os
@@ -217,17 +218,9 @@ class TestSlotRing:
 # The pool's ring transport
 # ----------------------------------------------------------------------
 class TestRingTransport:
-    def test_unknown_transport_is_refused(self):
-        with pytest.raises(ServeError):
-            WorkerPool(n_bits=12, workers=1, transport="carrier-pigeon")
+    def test_ring_without_slots_is_refused(self):
         with pytest.raises(ServeError):
             WorkerPool(n_bits=12, workers=1, ring_slots=0)
-
-    def test_repr_names_the_transport(self):
-        with WorkerPool(n_bits=12, workers=1) as pool:
-            assert "ring transport" in repr(pool)
-        with WorkerPool(n_bits=12, workers=1, transport="pipe") as pool:
-            assert "pipe transport" in repr(pool)
 
     def test_full_ring_falls_back_to_pipe(self):
         # Stop the worker so dispatched frames cannot drain, overfill
@@ -307,20 +300,12 @@ class TestRingTransport:
                 "FxArray result mutated by ring slot reuse"
             )
 
-    def test_ring_counters_absent_on_pipe_transport(self):
-        collector = Collector()
-        with WorkerPool(
-            n_bits=12, workers=1, transport="pipe", collector=collector
-        ) as pool:
-            pool.submit(np.linspace(-1, 1, 16)).result(timeout=30)
-            counters = pool.telemetry_snapshot()["counters"]
-        assert counters["serve.pool.pipe_dispatched"] >= 1
-        assert "serve.pool.ring_dispatched" not in counters
-        assert counters["serve.pool.ipc_bytes"] > 0
-
-    @pytest.mark.parametrize("transport", ["ring", "pipe"])
+    @pytest.mark.parametrize(
+        "transport, slot_elements", [("ring", None), ("pipe", 1)],
+        ids=["ring", "pipe"],
+    )
     def test_dispatch_is_counted_before_the_worker_can_answer(
-        self, transport, monkeypatch
+        self, transport, slot_elements, monkeypatch
     ):
         # A caller already holding its answer must find the batch
         # counted, so the counters move before the message goes out.
@@ -336,8 +321,10 @@ class TestRingTransport:
             return send(conn, obj)
 
         monkeypatch.setattr(Connection, "send", recording_send)
+        # One-element slots make the 16-element batch overflow.
         with WorkerPool(
-            n_bits=12, workers=1, transport=transport, collector=collector
+            n_bits=12, workers=1, ring_slot_elements=slot_elements,
+            collector=collector,
         ) as pool:
             pool.submit(np.linspace(-1, 1, 16)).result(timeout=30)
         assert seen == [1]
@@ -417,7 +404,7 @@ class TestCrashForensics:
 
 
 # ----------------------------------------------------------------------
-# The differential oracle: pipe == ring == serial engine
+# The differential check: pipe overflow == ring == serial engine
 # ----------------------------------------------------------------------
 class TestDifferential:
     @pytest.mark.parametrize("n_bits", [8, 12, 16])
@@ -429,9 +416,14 @@ class TestDifferential:
             for mode, x in _mixed_requests(48, fmt, seed=n_bits)
         ]
         outputs = {}
-        for transport in ("pipe", "ring"):
+        counters = {}
+        # One-element slots: every batch of two or more elements is
+        # oversize and crosses the pipe.
+        for transport, slot_elements in (("pipe", 1), ("ring", None)):
+            collector = Collector()
             with WorkerPool(
-                n_bits=n_bits, workers=2, transport=transport
+                n_bits=n_bits, workers=2, ring_slot_elements=slot_elements,
+                collector=collector,
             ) as pool:
                 futures = [
                     pool.submit(fx, mode=mode) for mode, fx in requests
@@ -439,6 +431,13 @@ class TestDifferential:
                 outputs[transport] = [
                     future.result(timeout=30).raw for future in futures
                 ]
+            counters[transport] = collector.snapshot()["counters"]
+        pipe = counters["pipe"]
+        assert pipe["serve.pool.pipe_dispatched"] >= 1
+        assert pipe["serve.pool.ring_oversize"] == pipe[
+            "serve.pool.pipe_dispatched"
+        ]
+        assert "serve.pool.pipe_dispatched" not in counters["ring"]
         for (mode, fx), pipe_raw, ring_raw in zip(
             requests, outputs["pipe"], outputs["ring"]
         ):

@@ -72,6 +72,18 @@ class TestLifecycle:
         with pytest.raises(ServeError):
             InferenceServer(reference, n_bits=N_BITS)
 
+    def test_rejects_engine_plus_table_source(self, reference):
+        # The source only reaches an engine the server builds; a given
+        # engine would quietly compile private tables instead.
+        from repro.compile import TableCache
+        from repro.serve import AttachedTableSource, SharedTableStore
+
+        with SharedTableStore() as store:
+            store.publish(NacuConfig.for_bits(N_BITS), cache=TableCache())
+            with AttachedTableSource(store.manifest()) as source:
+                with pytest.raises(ServeError):
+                    InferenceServer(reference, table_source=source)
+
     def test_unknown_mode(self):
         with InferenceServer(n_bits=N_BITS) as server:
             with pytest.raises(ServeError):

@@ -5,20 +5,16 @@ Usage::
 
     PYTHONPATH=src python tools/chaos_smoke.py [--seed N]
 
-Runs three armed soaks against a two-worker pool with MSB-pinned
+Runs two armed soaks against a two-worker pool with MSB-pinned
 transient upsets at the output bus, restricted to the single-crossing
 modes (sigmoid/tanh) where the range guard provably sees every hit:
 
 * the **unmitigated baseline** must silently corrupt (otherwise the
   upset rate is vacuous and the next check proves nothing);
 * the **defended run** (verify + retry + canaries + quarantine + one
-  injected worker kill, over the default shared-memory ring transport)
-  must detect at least one upset, land the kill, recover the pool,
-  serve **zero silent wrong answers**, and account for every offered
-  request in exactly one bucket;
-* the **defended-pipe run** repeats the defence over the pickled-pipe
-  fallback transport — the zero-silent-wrong contract must not depend
-  on which IPC lane carried the bytes.
+  injected worker kill) must detect at least one upset, land the kill,
+  recover the pool, serve **zero silent wrong answers**, and account
+  for every offered request in exactly one bucket.
 
 Exits 0 when every check holds, 1 otherwise, printing one line per
 check so CI logs show exactly what broke.
@@ -63,14 +59,6 @@ def main(argv=None) -> int:
         max_retries=3, canary_every=8, quarantine_after=5,
         kill_after_s=0.05,
     ))
-    # Same defence over the pickled-pipe fallback transport: the
-    # zero-silent-wrong contract is a property of the verifier, not of
-    # the IPC lane, so it must hold on both.
-    defended_pipe = run_soak(replace(
-        base, name="smoke-defended-pipe", transport="pipe",
-        fault_rate=0.005, mitigation="retry", max_retries=3,
-        canary_every=8, quarantine_after=5,
-    ))
 
     ok = True
     print(f"      {baseline.summary()}")
@@ -113,16 +101,6 @@ def main(argv=None) -> int:
         defended.restarts >= 1,
         f"defended: the killed worker was restarted "
         f"(restarts={defended.restarts})",
-    )
-    print(f"      {defended_pipe.summary()}")
-    ok &= _check(
-        defended_pipe.wrong == 0,
-        f"defended-pipe: zero silent wrong answers over the pipe "
-        f"transport (wrong={defended_pipe.wrong})",
-    )
-    ok &= _check(
-        defended_pipe.accounted,
-        "defended-pipe: every offered request lands in exactly one bucket",
     )
 
     print("chaos smoke:", "PASS" if ok else "FAIL")

@@ -14,16 +14,13 @@ server must have attached to the published image instead of compiling
 private tables, backpressure must shed loudly when provoked, and the
 server must shut down cleanly with nothing left pending.
 
-The same stream then runs through a forked :class:`WorkerPool` twice —
-once over the shared-memory slot-ring transport, once over the pickled
-pipe fallback: every worker must survive the storm, every pooled
-response must match the serial engine bit for bit, the merged
-parent+worker telemetry must account for each request, and the two
-transports must agree byte for byte (the ring's zero-copy path is held
-to the pickle path as a differential oracle). When
-``$REPRO_NACU_CACHE_DIR`` is set (the CI table cache), the pool
-publishes from the persisted cache so warm runs skip the table compile
-entirely.
+The same stream then runs through a forked :class:`WorkerPool`: every
+worker must survive the storm, every pooled response must match the
+serial engine bit for bit, the merged parent+worker telemetry must
+account for each request, and the batches must have ridden the
+shared-memory slot rings. When ``$REPRO_NACU_CACHE_DIR`` is set (the CI
+table cache), the pool publishes from the persisted cache so warm runs
+skip the table compile entirely.
 
 Exits 0 when every check holds, 1 otherwise, printing one line per
 check so CI logs show exactly what broke.
@@ -47,6 +44,7 @@ import numpy as np  # noqa: E402
 from repro.compile import TableCache, default_persist_dir  # noqa: E402
 from repro.engine import BatchEngine  # noqa: E402
 from repro.errors import BackpressureError, WorkerCrashError  # noqa: E402
+from repro.loadgen import RequestMix, make_requests  # noqa: E402
 from repro.nacu.config import NacuConfig  # noqa: E402
 from repro.serve import (  # noqa: E402
     AttachedTableSource,
@@ -59,27 +57,11 @@ from repro.telemetry import Collector, use_collector  # noqa: E402
 N_BITS = 12
 N_REQUESTS = 64
 N_CLIENTS = 4
-MODES = ("sigmoid", "tanh", "exp", "softmax")
 
 
 def _check(ok: bool, label: str) -> bool:
     print(f"{'ok  ' if ok else 'FAIL'}  {label}")
     return ok
-
-
-def _mixed_requests(count: int, seed: int):
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        mode = MODES[int(rng.integers(len(MODES)))]
-        if mode == "softmax":
-            x = rng.uniform(-4, 4, size=(int(rng.integers(2, 7)),))
-        elif mode == "exp":
-            x = rng.uniform(-8, 0, size=(int(rng.integers(1, 9)),))
-        else:
-            x = rng.uniform(-6, 6, size=(int(rng.integers(1, 9)),))
-        out.append((mode, x))
-    return out
 
 
 def main(argv=None) -> int:
@@ -94,7 +76,9 @@ def main(argv=None) -> int:
 
     config = NacuConfig.for_bits(N_BITS)
     reference = BatchEngine(config=config, fast=True, table_cache=TableCache())
-    requests = _mixed_requests(N_REQUESTS, args.seed)
+    requests = make_requests(
+        N_REQUESTS, RequestMix(max_elements=8, max_row=6), rng=args.seed
+    )
     collector = Collector()
     futures = {}
 
@@ -172,85 +156,65 @@ def main(argv=None) -> int:
     ok &= _check(all(f.done() for f in admitted),
                  "admitted requests still served through close()")
 
-    # Worker pool: the same stream through forked processes, once per
-    # transport. Any worker death, any response diverging from the
-    # serial engine, any gap in the merged accounting, or any byte of
-    # daylight between the ring and pipe transports fails the smoke.
+    # Worker pool: the same stream through forked processes. Any worker
+    # death, any response diverging from the serial engine, or any gap
+    # in the merged accounting fails the smoke.
     publish_cache = (
         TableCache(persist_dir=default_persist_dir())
         if os.environ.get("REPRO_NACU_CACHE_DIR") else None
     )
-    per_transport = {}
-    for transport in ("ring", "pipe"):
-        pool_collector = Collector()
-        pool = WorkerPool(
-            config=config, workers=args.pool_workers, max_delay_us=500.0,
-            publish_cache=publish_cache, collector=pool_collector,
-            transport=transport,
-        )
-        pool_resolved = {}
-        crashes = 0
-        try:
-            pool_futures = {
-                i: pool.submit(x, mode=mode)
-                for i, (mode, x) in enumerate(requests)
-            }
-            for i, future in pool_futures.items():
-                try:
-                    pool_resolved[i] = future.result(timeout=120)
-                except WorkerCrashError:
-                    crashes += 1
-            alive = pool.alive_workers()
-            merged = pool.telemetry_snapshot()
-        finally:
-            pool.close()
-        per_transport[transport] = pool_resolved
+    pool_collector = Collector()
+    pool = WorkerPool(
+        config=config, workers=args.pool_workers, max_delay_us=500.0,
+        publish_cache=publish_cache, collector=pool_collector,
+    )
+    pool_resolved = {}
+    crashes = 0
+    try:
+        pool_futures = {
+            i: pool.submit(x, mode=mode)
+            for i, (mode, x) in enumerate(requests)
+        }
+        for i, future in pool_futures.items():
+            try:
+                pool_resolved[i] = future.result(timeout=120)
+            except WorkerCrashError:
+                crashes += 1
+        alive = pool.alive_workers()
+        merged = pool.telemetry_snapshot()
+    finally:
+        pool.close()
 
-        ok &= _check(crashes == 0 and len(pool_resolved) == N_REQUESTS,
-                     f"[{transport}] pool resolved all {N_REQUESTS} requests "
-                     f"({args.pool_workers} workers, crashes={crashes})")
-        pool_mismatches = [
-            i for i, (mode, x) in enumerate(requests)
-            if i not in pool_resolved
-            or not np.array_equal(
-                pool_resolved[i], getattr(reference, mode)(x))
-        ]
-        ok &= _check(not pool_mismatches,
-                     f"[{transport}] every pooled response is bit-identical "
-                     "to the direct engine "
-                     f"(mismatches={pool_mismatches or 'none'})")
-        ok &= _check(alive == args.pool_workers,
-                     f"[{transport}] every worker survived the storm "
-                     f"(alive={alive}/{args.pool_workers})")
-        pool_counters = merged["counters"]
-        ok &= _check(pool_counters.get("serve.pool.worker_deaths") is None,
-                     f"[{transport}] no worker died mid-stream")
-        ok &= _check(pool_counters.get("serve.requests") == N_REQUESTS,
-                     f"[{transport}] merged snapshot counted the stream "
-                     f"(serve.requests={pool_counters.get('serve.requests')})")
-        ok &= _check(
-            pool_counters.get("serve.pool.worker_started")
-            == args.pool_workers,
-            f"[{transport}] every worker snapshot crossed the pipe "
-            f"(worker_started="
-            f"{pool_counters.get('serve.pool.worker_started')})")
-        dispatched = pool_counters.get(
-            f"serve.pool.{transport}_dispatched", 0)
-        ok &= _check(dispatched >= 1,
-                     f"[{transport}] batches actually rode the {transport} "
-                     f"lane ({transport}_dispatched={dispatched})")
-        ok &= _check(pool.alive_workers() == 0,
-                     f"[{transport}] workers exited after pool close()")
-
-    differential = [
-        i for i in range(N_REQUESTS)
-        if i not in per_transport["ring"] or i not in per_transport["pipe"]
-        or not np.array_equal(per_transport["ring"][i],
-                              per_transport["pipe"][i])
+    ok &= _check(crashes == 0 and len(pool_resolved) == N_REQUESTS,
+                 f"pool resolved all {N_REQUESTS} requests "
+                 f"({args.pool_workers} workers, crashes={crashes})")
+    pool_mismatches = [
+        i for i, (mode, x) in enumerate(requests)
+        if i not in pool_resolved
+        or not np.array_equal(pool_resolved[i], getattr(reference, mode)(x))
     ]
-    ok &= _check(not differential,
-                 "ring and pipe transports agree byte for byte "
-                 f"(mismatches={differential or 'none'})")
+    ok &= _check(not pool_mismatches,
+                 "every pooled response is bit-identical to the direct "
+                 f"engine (mismatches={pool_mismatches or 'none'})")
+    ok &= _check(alive == args.pool_workers,
+                 f"every worker survived the storm "
+                 f"(alive={alive}/{args.pool_workers})")
+    pool_counters = merged["counters"]
+    ok &= _check(pool_counters.get("serve.pool.worker_deaths") is None,
+                 "no worker died mid-stream")
+    ok &= _check(pool_counters.get("serve.requests") == N_REQUESTS,
+                 f"merged snapshot counted the stream "
+                 f"(serve.requests={pool_counters.get('serve.requests')})")
+    ok &= _check(
+        pool_counters.get("serve.pool.worker_started") == args.pool_workers,
+        f"every worker snapshot crossed the pipe "
+        f"(worker_started={pool_counters.get('serve.pool.worker_started')})")
+    dispatched = pool_counters.get("serve.pool.ring_dispatched", 0)
+    ok &= _check(dispatched >= 1,
+                 f"batches actually rode the ring "
+                 f"(ring_dispatched={dispatched})")
+    ok &= _check(pool.alive_workers() == 0,
+                 "workers exited after pool close()")
 
     print("serve smoke:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
