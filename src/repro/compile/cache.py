@@ -122,9 +122,6 @@ class TableCache:
         ``lut`` is forwarded to the compiler so an engine's shared
         coefficient LUT build is reused rather than rebuilt.
         """
-        if self._estimate_bytes(config, mode) > self.max_table_bytes:
-            self._count("compile.fallback_too_wide")
-            return None
         key = (config.fingerprint(), mode.value)
         with self._lock:
             table = self._tables.get(key)
@@ -132,6 +129,10 @@ class TableCache:
                 self._tables.move_to_end(key)
                 self._count("compile.cache_hit")
                 return table
+            # Checked on a miss only: a cached table passed it already.
+            if self._estimate_bytes(config, mode) > self.max_table_bytes:
+                self._count("compile.fallback_too_wide")
+                return None
             self._count("compile.cache_miss")
             table = self._attach(key)
             if table is None:
@@ -393,6 +394,9 @@ def default_cache() -> TableCache:
     building a private :class:`TableCache` with a ``persist_dir``).
     """
     global _default
+    cache = _default
+    if cache is not None:
+        return cache  # the per-batch case: no lock once it exists
     with _default_lock:
         if _default is None:
             _default = TableCache()

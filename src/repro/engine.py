@@ -302,7 +302,8 @@ class BatchEngine:
         """
         if x.raw.ndim == 0:
             raise RangeError("softmax needs at least one axis of inputs")
-        moved = np.moveaxis(x.raw, axis, -1)
+        last = axis == -1 or axis == x.raw.ndim - 1
+        moved = x.raw if last else np.moveaxis(x.raw, axis, -1)
         if moved.shape[-1] == 0:
             # A zero-length softmax axis would crash the reshape below
             # with a numpy ValueError; match the datapath's error surface.
@@ -335,7 +336,9 @@ class BatchEngine:
                 tel.count("engine.softmax.fast_exp_elements", x.raw.size)
             if divide is not None:
                 tel.count("engine.softmax.fast_div_elements", x.raw.size)
-        raw = np.moveaxis(out.raw.reshape(moved.shape), -1, axis)
+        raw = out.raw.reshape(moved.shape)
+        if not last:
+            raw = np.moveaxis(raw, -1, axis)
         return FxArray._wrap(raw, out.fmt)
 
     # ------------------------------------------------------------------

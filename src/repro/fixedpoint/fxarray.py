@@ -75,7 +75,8 @@ class FxArray:
     @classmethod
     def zeros(cls, shape, fmt: QFormat) -> "FxArray":
         """An all-zero array in ``fmt``."""
-        return cls(np.zeros(shape, dtype=np.int64), fmt)
+        # Zero is in range for every format, so skip the range scan.
+        return cls._wrap(np.zeros(shape, dtype=np.int64), fmt)
 
     @classmethod
     def _wrap(cls, raw: np.ndarray, fmt: QFormat) -> "FxArray":

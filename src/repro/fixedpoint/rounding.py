@@ -108,7 +108,12 @@ def apply_overflow(raw: RawLike, fmt: QFormat, overflow: Overflow) -> np.ndarray
     if tel is not None and overflow is not Overflow.ERROR:
         _record_overflow(tel, raw, fmt, overflow)
     if overflow is Overflow.SATURATE:
-        return np.clip(raw, fmt.raw_min, fmt.raw_max)
+        # np.clip's Python wrapper costs more than the clip itself on a
+        # small batch. The upper bound lands in the lower bound's fresh
+        # result; a 0-d input comes back as a NumPy scalar, as from
+        # np.clip.
+        out = np.maximum(raw, fmt.raw_min)
+        return np.minimum(out, fmt.raw_max, out=out if out.ndim else None)
     if overflow is Overflow.WRAP:
         modulus = np.int64(fmt.raw_modulus)
         wrapped = np.mod(raw - fmt.raw_min, modulus) + fmt.raw_min
@@ -140,18 +145,22 @@ def quantize_float(
     then ``overflow`` folds them into ``fmt`` as for any raw integer.
     NaN has no raw word and raises :class:`~repro.errors.RangeError`.
     """
-    scaled = np.asarray(values, dtype=np.float64) * (1 << fmt.fb)
-    if rounding in (Rounding.NEAREST_EVEN,):
-        raw = np.rint(scaled)
+    # One float64 copy, then every float step in place: a 0-d input
+    # stays a 0-d array until apply_overflow.
+    raw = np.array(values, dtype=np.float64)
+    np.multiply(raw, float(1 << fmt.fb), out=raw)
+    if rounding is Rounding.NEAREST_EVEN:
+        np.rint(raw, out=raw)
     elif rounding is Rounding.NEAREST_UP:
-        raw = np.floor(scaled + 0.5)
+        np.floor(np.add(raw, 0.5, out=raw), out=raw)
     elif rounding is Rounding.FLOOR:
-        raw = np.floor(scaled)
+        np.floor(raw, out=raw)
     elif rounding is Rounding.TRUNCATE:
-        raw = np.trunc(scaled)
+        np.trunc(raw, out=raw)
     else:
         raise ValueError(f"unknown rounding mode {rounding!r}")
-    if np.isnan(raw).any():
+    if np.count_nonzero(np.isnan(raw)):
         raise RangeError(f"NaN has no value in fixed-point format {fmt}")
-    raw = np.clip(raw, -_QUANTIZE_LIMIT, _QUANTIZE_LIMIT)
+    np.maximum(raw, -_QUANTIZE_LIMIT, out=raw)
+    np.minimum(raw, _QUANTIZE_LIMIT, out=raw)
     return apply_overflow(raw.astype(np.int64), fmt, overflow)

@@ -134,10 +134,12 @@ class MacUnit:
         ):
             return None
         acc_raw = self._acc.raw
-        serial = (
-            values.raw.reshape(-1) if axis is None
-            else np.moveaxis(values.raw, axis, -1)
-        )
+        if axis is None:
+            serial = values.raw.reshape(-1)
+        elif axis == -1 or axis == values.raw.ndim - 1:
+            serial = values.raw
+        else:
+            serial = np.moveaxis(values.raw, axis, -1)
         if serial.size == 0:
             return None
         if axis is None:

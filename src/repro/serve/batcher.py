@@ -39,7 +39,7 @@ data structure that is easy to test.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class Request:
 
     __slots__ = (
         "future", "mode", "payload", "shape", "axis", "emit_fx",
-        "emit_scalar", "enqueue_ns", "trace",
+        "emit_scalar", "enqueue_ns", "trace", "elements", "key",
     )
 
     def __init__(self, future, mode: FunctionMode, payload: np.ndarray,
@@ -99,10 +99,13 @@ class Request:
         #: The sampled :class:`~repro.telemetry.trace.RequestTrace`
         #: following this request, or ``None`` (the common case).
         self.trace = None
-
-    @property
-    def elements(self) -> int:
-        return self.payload.size
+        self.elements = payload.size
+        #: The batcher group: ``(mode, row width)``, where the width
+        #: matters only for softmax, whose rows must stack.
+        self.key = (
+            mode.value,
+            payload.shape[-1] if mode is FunctionMode.SOFTMAX else 0,
+        )
 
 
 def build_request(future, x, mode: FunctionMode, axis: int,
@@ -164,6 +167,10 @@ def build_request(future, x, mode: FunctionMode, axis: int,
                    values.ndim == 0)
 
 
+#: The ``BatchEngine`` method that evaluates each servable mode.
+_KERNELS = {mode: f"{mode.value}_fx" for mode in SERVABLE_MODES}
+
+
 def evaluate_fused(engine: BatchEngine, mode: FunctionMode,
                    raw: np.ndarray) -> np.ndarray:
     """One fused engine pass over concatenated raw words.
@@ -174,15 +181,10 @@ def evaluate_fused(engine: BatchEngine, mode: FunctionMode,
     the local path would have produced. ``raw`` is the flat elementwise
     concatenation, or the 2-D row stack for softmax.
     """
-    fused = FxArray._wrap(raw, engine.io_fmt)
-    if mode is FunctionMode.SOFTMAX:
-        return engine.softmax_fx(fused, axis=-1).raw
-    kernel: Callable[[FxArray], FxArray] = {
-        FunctionMode.SIGMOID: engine.sigmoid_fx,
-        FunctionMode.TANH: engine.tanh_fx,
-        FunctionMode.EXP: engine.exp_fx,
-    }[mode]
-    return kernel(fused).raw
+    # Looked up on the engine per call, so a patched method is the one
+    # that runs; softmax's default axis is the stacked rows' last.
+    kernel = getattr(engine, _KERNELS[mode])
+    return kernel(FxArray._wrap(raw, engine.io_fmt)).raw
 
 
 class Batch:
@@ -190,10 +192,13 @@ class Batch:
 
     __slots__ = ("mode", "requests", "elements")
 
-    def __init__(self, mode: FunctionMode, requests: List[Request]):
+    def __init__(self, mode: FunctionMode, requests: List[Request],
+                 elements: int):
         self.mode = mode
         self.requests = requests
-        self.elements = sum(r.elements for r in requests)
+        #: The members' total element count, which the batcher already
+        #: keeps per group.
+        self.elements = elements
 
     def fused_raw(self, fmt) -> np.ndarray:
         """The gathered raw payload for :func:`evaluate_fused`.
@@ -208,7 +213,7 @@ class Batch:
         if len(requests) == 1 and requests[0].emit_fx:
             return requests[0].payload
         if not self.emits_raw:
-            return self._quantised(fmt).reshape(self.fused_shape)
+            return self._quantised(fmt)
         out = np.empty(self.fused_shape, dtype=np.int64)
         self.gather_into(out.reshape(-1), fmt)
         return out
@@ -246,23 +251,28 @@ class Batch:
         members as their share of one quantising call into ``fmt``.
         """
         quantised = self._quantised(fmt)
-        if quantised is not None and quantised.size == out.size:
-            out[:] = quantised
-            return
+        if quantised is not None:
+            quantised = quantised.reshape(-1)
+            if quantised.size == out.size:
+                out[:] = quantised
+                return
         offset = taken = 0
         for request in self.requests:
             size = request.elements
             if request.emit_fx:
-                out[offset:offset + size] = request.payload.reshape(-1)
+                payload = request.payload
+                out[offset:offset + size] = (
+                    payload if payload.ndim == 1 else payload.reshape(-1)
+                )
             else:
                 out[offset:offset + size] = quantised[taken:taken + size]
                 taken += size
             offset += size
 
     def _quantised(self, fmt) -> Optional[np.ndarray]:
-        """The float members' values quantised in one flat call, if any."""
-        values = [r.payload.reshape(-1) for r in self.requests
-                  if not r.emit_fx]
+        """The float members' values quantised in one call, if any: one
+        run of words for elementwise modes, one row stack for softmax."""
+        values = [r.payload for r in self.requests if not r.emit_fx]
         if not values:
             return None
         return FxArray.from_float(
@@ -331,7 +341,7 @@ class Batch:
         batch's stage timeline (``sink``). May raise — callers wrap it
         exactly like the evaluation itself (see :meth:`run`).
         """
-        raw = out_raw.reshape(-1)
+        raw = out_raw if out_raw.ndim == 1 else out_raw.reshape(-1)
         # Made before any future resolves: an FxArray client may write
         # into its view of ``raw`` as soon as it has it.
         values = (
@@ -343,9 +353,13 @@ class Batch:
             end = offset + request.elements
             piece = (raw if request.emit_fx else values)[offset:end]
             offset = end
-            piece = piece.reshape(request.shape)
-            if request.mode is FunctionMode.SOFTMAX and request.axis != -1:
-                piece = np.moveaxis(piece, -1, request.axis)
+            # A 1-D request's slice already has its shape, and its
+            # softmax axis is always the last.
+            if len(request.shape) != 1:
+                piece = piece.reshape(request.shape)
+                if (request.mode is FunctionMode.SOFTMAX
+                        and request.axis != -1):
+                    piece = np.moveaxis(piece, -1, request.axis)
             if request.emit_fx:
                 result = FxArray._wrap(piece, fmt)
             else:
@@ -401,11 +415,15 @@ class Batch:
         )
         try:
             sink = _tracing.StageSink() if traces else None
-            payload = self.fused_raw(engine.io_fmt)
+            fmt = engine.io_fmt
+            payload = self.fused_raw(fmt)
             attempt = 0
             while True:
-                with _tracing.use_sink(sink):
+                if sink is None:
                     out_raw = evaluate_fused(engine, self.mode, payload)
+                else:
+                    with _tracing.use_sink(sink):
+                        out_raw = evaluate_fused(engine, self.mode, payload)
                 reason = (
                     verifier.check(self.mode, out_raw)
                     if verifier is not None else None
@@ -428,7 +446,7 @@ class Batch:
             if attempt and tel is not None:
                 tel.count("serve.resilience.corrected", len(self.requests))
             self.finish(
-                out_raw, engine.io_fmt, tel=tel, traces=traces,
+                out_raw, fmt, tel=tel, traces=traces,
                 enqueue_ns=enqueue_ns, slo=slo, tracer=tracer,
                 dispatch_ns=start, sink=sink,
             )
@@ -508,20 +526,11 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # Enqueue / drain (caller holds the server lock)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _key(request: Request) -> Tuple[str, int]:
-        width = (
-            request.payload.shape[-1]
-            if request.mode is FunctionMode.SOFTMAX
-            else 0
-        )
-        return (request.mode.value, width)
-
     def offer(self, request: Request) -> bool:
         """Admit ``request`` unless the pending pool would overflow."""
         if self._pending_elements + request.elements > self.max_pending_elements:
             return False
-        key = self._key(request)
+        key = request.key
         group = self._groups.setdefault(key, [])
         if not group:
             self._deadlines[key] = request.enqueue_ns + self.max_delay_ns
@@ -559,7 +568,7 @@ class MicroBatcher:
                 if elements >= self.max_batch_elements:
                     self._full_groups -= 1
                 self._deadlines.pop(key)
-                ready.append(Batch(FunctionMode(key[0]), requests))
+                ready.append(Batch(requests[0].mode, requests, elements))
         return ready
 
     def next_deadline_ns(self) -> Optional[int]:

@@ -46,7 +46,9 @@ the **parent**, where requests are admitted and futures resolve, so both
 timestamps of every latency come from one clock and the numbers are
 byte-identical to the single-process server's accounting. Workers keep
 their own private :class:`~repro.telemetry.Collector` for the
-engine/compile/datapath counters their evaluations produce;
+engine/compile/datapath counters their evaluations produce, when the
+pool records telemetry or arms a fault plan (otherwise only for their
+own ``serve.pool.*`` counters);
 :meth:`WorkerPool.telemetry_snapshot` folds parent and worker snapshots
 through the existing exact
 :func:`~repro.telemetry.merge_snapshots` — the same totals one collector
@@ -103,16 +105,19 @@ def _picklable(exc: BaseException) -> BaseException:
 
 
 def _worker_main(conn, config: NacuConfig, fast: bool, manifest,
-                 worker_id: int, fault_plan=None, rings=None) -> None:
+                 worker_id: int, telemetry: bool, fault_plan=None,
+                 rings=None) -> None:
     """One worker process: attach, evaluate batches, report, drain.
 
-    The worker installs a private process-wide collector so every
-    counter its engine, table cache and store attach produce is captured
-    locally and shipped back in the final snapshot — the parent merges
-    them exactly. Messages are processed strictly in order, so by the
-    time the ``close`` reply goes out every earlier batch has already
-    been answered: graceful drain is a property of the pipe's FIFO
-    ordering, not of extra bookkeeping.
+    The worker keeps a private collector for its own ``serve.pool.*``
+    counters and ships it back in every snapshot — the parent merges
+    them exactly. With ``telemetry`` set the collector is also installed
+    process-wide and handed to the engine, so every counter the engine,
+    table cache and store attach produce is captured too; without it
+    the engine runs its telemetry-off path. Messages are processed
+    strictly in order, so by the time the ``close`` reply goes out every
+    earlier batch has already been answered: graceful drain is a
+    property of the pipe's FIFO ordering, not of extra bookkeeping.
 
     ``rings`` (a :class:`~repro.serve.store.RingManifest`) attaches the
     zero-copy lane: an ``rbatch`` doorbell names a slot whose payload is
@@ -133,7 +138,8 @@ def _worker_main(conn, config: NacuConfig, fast: bool, manifest,
     from repro.engine import BatchEngine
 
     collector = Collector()
-    _telemetry.set_collector(collector)
+    # Replaces, too, whatever collector the parent had installed at fork.
+    _telemetry.set_collector(collector if telemetry else None)
     # Whatever plan the *parent* had armed at fork time is its business,
     # not this worker's — injection here is opt-in via the shard.
     _inject.disarm()
@@ -148,8 +154,19 @@ def _worker_main(conn, config: NacuConfig, fast: bool, manifest,
     source = AttachedTableSource(manifest) if manifest is not None else None
     cache = TableCache(source=source) if fast else None
     engine = BatchEngine(
-        config=config, fast=fast, table_cache=cache, collector=collector
+        config=config, fast=fast, table_cache=cache,
+        collector=collector if telemetry else None,
     )
+
+    def evaluate(mode_value, raw, traced):
+        """The fused batch and, when traced, the stage sink it ran under."""
+        mode = FunctionMode(mode_value)
+        if not traced:
+            return evaluate_fused(engine, mode, raw), None
+        sink = _tracing.StageSink()
+        with _tracing.use_sink(sink):
+            return evaluate_fused(engine, mode, raw), sink
+
     if fault_plan is not None:
         _inject.arm(fault_plan)
         collector.count("serve.pool.worker_armed")
@@ -164,11 +181,7 @@ def _worker_main(conn, config: NacuConfig, fast: bool, manifest,
             if kind == "batch":
                 _, seq, mode_value, raw, traced = message
                 try:
-                    sink = _tracing.StageSink() if traced else None
-                    with _tracing.use_sink(sink):
-                        out = evaluate_fused(
-                            engine, FunctionMode(mode_value), raw
-                        )
+                    out, sink = evaluate(mode_value, raw, traced)
                     collector.count("serve.pool.ipc_bytes", out.nbytes)
                     reply = (
                         "ok", seq, out,
@@ -182,11 +195,7 @@ def _worker_main(conn, config: NacuConfig, fast: bool, manifest,
                 _, seq, mode_value, slot, shape, traced = message
                 try:
                     raw = request_ring.read_frame(slot, seq, shape)
-                    sink = _tracing.StageSink() if traced else None
-                    with _tracing.use_sink(sink):
-                        out = evaluate_fused(
-                            engine, FunctionMode(mode_value), raw
-                        )
+                    out, sink = evaluate(mode_value, raw, traced)
                     frame = response_ring.open_frame(slot, seq, out.size)
                     np.copyto(frame, out.reshape(-1))
                     response_ring.commit_frame(slot)
@@ -336,6 +345,8 @@ class WorkerPool(_FrontEnd):
             collector=collector, tracer=tracer, slo=slo,
         )
         self.config = config
+        #: The served fixed-point I/O format (``build_request`` contract).
+        self.io_fmt = config.io_fmt
         self.workers = workers
         self.fast = fast
         self.restart = restart
@@ -354,6 +365,14 @@ class WorkerPool(_FrontEnd):
         #: injected stream a property of the slot, not of pool history.
         self._plan_shards = (
             fault_plan.shard(workers) if fault_plan is not None else None
+        )
+        #: Whether workers also collect engine, compile and store
+        #: counters: only for a pool with telemetry, or with a fault
+        #: plan, whose ``faults.*`` ledger travels in those snapshots.
+        #: Decided once, so a restarted worker collects like the first.
+        self._worker_telemetry = (
+            _telemetry.resolve(collector) is not None
+            or fault_plan is not None
         )
         if mp_context is None:
             # fork is the whole point (attach without re-import); spawn
@@ -401,11 +420,6 @@ class WorkerPool(_FrontEnd):
         if resilience is not None:
             self._resilience = ResilienceManager(self, resilience)
         self._start_dispatcher("nacu-pool-dispatch")
-
-    @property
-    def io_fmt(self):
-        """The served fixed-point I/O format (``build_request`` contract)."""
-        return self.config.io_fmt
 
     def _shutdown(self) -> None:
         """After the dispatcher joined: drain, retire the workers, unlink.
@@ -541,7 +555,7 @@ class WorkerPool(_FrontEnd):
         process = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self.config, self.fast, self._manifest,
-                  worker_id, shard, rings),
+                  worker_id, self._worker_telemetry, shard, rings),
             name=f"nacu-pool-worker-{worker_id}",
             daemon=True,
         )

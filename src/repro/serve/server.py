@@ -313,6 +313,8 @@ class InferenceServer(_FrontEnd):
                 "pass either an engine or a table_source, not both"
             )
         self.engine = engine
+        #: The served fixed-point I/O format (``build_request`` contract).
+        self.io_fmt = engine.io_fmt
         super().__init__(
             max_batch_elements=max_batch_elements,
             max_delay_us=max_delay_us,
@@ -344,11 +346,6 @@ class InferenceServer(_FrontEnd):
         #: Batches running on ``_pool`` (guarded by ``_cond``).
         self._busy = 0
         self._start_dispatcher("nacu-serve-dispatch")
-
-    @property
-    def io_fmt(self):
-        """The served fixed-point I/O format (``build_request`` contract)."""
-        return self.engine.io_fmt
 
     # ------------------------------------------------------------------
     # The executor

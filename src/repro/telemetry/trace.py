@@ -44,7 +44,6 @@ __all__ = [
     "current_sink",
     "disable_tracing",
     "emit_fault",
-    "emit_stage",
     "enable_tracing",
     "get_tracer",
     "resolve",
@@ -307,13 +306,6 @@ class use_sink:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         _sink_local.sink = self._previous
-
-
-def emit_stage(name: str, start_ns: int, dur_ns: int) -> None:
-    """Record a stage span into the current sink, if one is installed."""
-    sink = getattr(_sink_local, "sink", None)
-    if sink is not None:
-        sink.emit(name, start_ns, dur_ns)
 
 
 def emit_fault(name: str, n: int) -> None:

@@ -83,6 +83,24 @@ class TestFoldFastPath:
         out = fast.accumulate_sum(values, axis=-1)
         np.testing.assert_array_equal(out.raw, loop._fold_loop(values, -1).raw)
 
+    @pytest.mark.parametrize("shape,axis", [
+        ((9,), -1), ((9,), 0), ((6, 9), -1), ((6, 9), 1), ((9, 6), 0),
+        ((9, 6), -2), ((3, 4, 9), 2), ((3, 9, 4), 1), ((3, 9, 4), -2),
+        ((9, 3, 4), 0), ((9, 3, 4), -3),
+    ])
+    def test_every_axis_spelling_matches_serial_loop(self, shape, axis):
+        rng = np.random.default_rng(len(shape) * 10 + axis)
+        values = fx(rng.uniform(0.0, 0.9, size=shape))
+        rest = np.delete(np.array(shape), axis).tolist()
+        fast, loop = MacUnit(ACC), MacUnit(ACC)
+        fast.reset(shape=tuple(rest))
+        loop.reset(shape=tuple(rest))
+        out = fast._fold_fast(values, axis, None)
+        assert out is not None
+        want = loop._fold_loop(values, axis).raw
+        assert out.raw.shape == want.shape
+        assert out.raw.tobytes() == np.ascontiguousarray(want).tobytes()
+
     def test_scalar_fold_matches_and_stays_zero_dim(self):
         values = fx(np.array([0.25, 0.5, 1.0, 0.125]))
         fast, loop = MacUnit(ACC), MacUnit(ACC)

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import BatchEngine
 from repro.errors import RangeError, ServeError
 from repro.fixedpoint import FxArray
-from repro.nacu.config import FunctionMode
+from repro.nacu.config import FunctionMode, NacuConfig
 from repro.serve import Batch, MicroBatcher
-from repro.serve.batcher import build_request
-from repro.telemetry import Collector, use_collector
+from repro.serve.batcher import SERVABLE_MODES, build_request
+from repro.telemetry import Collector, use_collector, use_tracer
 
 ENGINES = {}
 
@@ -27,6 +27,11 @@ def engine_for(bits: int) -> BatchEngine:
 
 def make_request(engine, x, mode, axis=-1):
     return build_request(Future(), x, mode, axis, engine)
+
+
+def make_batch(mode, requests):
+    # The element total the batcher keeps per group, counted here.
+    return Batch(mode, requests, sum(r.elements for r in requests))
 
 
 class TestBuildRequest:
@@ -125,7 +130,7 @@ class TestBatchRun:
         )
         fx_in = FxArray.from_float(np.array([0.25, -0.25]), engine.io_fmt)
         fx = make_request(engine, fx_in, FunctionMode.SIGMOID)
-        Batch(FunctionMode.SIGMOID, [scalar, array, fx]).run(engine)
+        make_batch(FunctionMode.SIGMOID, [scalar, array, fx]).run(engine)
 
         assert scalar.future.result() == engine.sigmoid(0.5)
         got = array.future.result()
@@ -141,7 +146,7 @@ class TestBatchRun:
         engine = engine_for(8)
         x = np.random.default_rng(0).uniform(-4, 4, size=(3, 5))
         request = make_request(engine, x, FunctionMode.SOFTMAX, axis=0)
-        Batch(FunctionMode.SOFTMAX, [request]).run(engine)
+        make_batch(FunctionMode.SOFTMAX, [request]).run(engine)
         np.testing.assert_array_equal(
             request.future.result(), engine.softmax(x, axis=0)
         )
@@ -156,7 +161,7 @@ class TestBatchRun:
             raise RuntimeError("datapath on fire")
 
         monkeypatch.setattr(engine, "tanh_fx", boom)
-        Batch(FunctionMode.TANH, requests).run(engine)
+        make_batch(FunctionMode.TANH, requests).run(engine)
         for request in requests:
             with pytest.raises(RuntimeError):
                 request.future.result()
@@ -169,12 +174,58 @@ class TestBatchRun:
             for _ in range(4)
         ]
         with use_collector(collector):
-            Batch(FunctionMode.SIGMOID, requests).run(engine)
+            make_batch(FunctionMode.SIGMOID, requests).run(engine)
         snap = collector.snapshot()
         assert snap["counters"]["serve.batches"] == 1
         assert snap["counters"]["serve.batch_elements"] == 8
         assert snap["histograms"]["serve.batch_fill"] == {"4": 1}
         assert snap["timers"]["serve.queue_wait"]["count"] == 4
+
+
+class TestLoneRequestPath:
+    """A lone request pays only for its own numpy work.
+
+    Counted, not timed, so the guard holds on a loaded host: with
+    telemetry and tracing off, a one-request batch on the default
+    16-bit config calls no ``np.clip`` or ``np.moveaxis`` wrapper and
+    builds no range-validating ``FxArray``: every value on the path is
+    in range by construction."""
+
+    INPUTS = {
+        FunctionMode.SIGMOID: np.linspace(-3.0, 3.0, 6),
+        FunctionMode.TANH: np.linspace(-3.0, 3.0, 6),
+        FunctionMode.EXP: np.linspace(-3.0, 0.0, 6),
+        FunctionMode.SOFTMAX: np.linspace(-3.0, 3.0, 6),
+    }
+
+    @pytest.mark.parametrize("mode", SERVABLE_MODES, ids=lambda m: m.value)
+    def test_no_wrapper_calls_and_no_range_scan(self, mode, monkeypatch):
+        engine = BatchEngine(config=NacuConfig(), fast=True)
+        x = self.INPUTS[mode]
+        with use_collector(None), use_tracer(None):
+            # Warm: the first batch may compile tables, which validates.
+            make_batch(mode, [make_request(engine, x, mode)]).run(engine)
+            calls = []
+
+            def counted(name, func):
+                def wrapper(*args, **kwargs):
+                    calls.append(name)
+                    return func(*args, **kwargs)
+                return wrapper
+
+            monkeypatch.setattr(np, "clip", counted("np.clip", np.clip))
+            monkeypatch.setattr(
+                np, "moveaxis", counted("np.moveaxis", np.moveaxis)
+            )
+            monkeypatch.setattr(
+                FxArray, "__init__",
+                counted("FxArray()", FxArray.__init__),
+            )
+            request = make_request(engine, x, mode)
+            make_batch(mode, [request]).run(engine)
+            monkeypatch.undo()
+        assert calls == []
+        _assert_same_bytes(request.future.result(), _serial(engine, mode, x))
 
 
 def _draw_request(data, raw, fmt, scalar_ok):
@@ -267,7 +318,7 @@ class TestSplitBitIdentity:
         requests = [
             build_request(Future(), x, mode, -1, engine) for x in inputs
         ]
-        Batch(mode, requests).run(engine)
+        make_batch(mode, requests).run(engine)
         batched = []
         for x, request in zip(inputs, requests):
             result = request.future.result()
@@ -316,7 +367,7 @@ class TestSplitBitIdentity:
             build_request(Future(), x, FunctionMode.SOFTMAX, axis, engine)
             for x, axis in zip(inputs, axes)
         ]
-        Batch(FunctionMode.SOFTMAX, requests).run(engine)
+        make_batch(FunctionMode.SOFTMAX, requests).run(engine)
         batched = []
         for x, axis, request in zip(inputs, axes, requests):
             result = request.future.result()

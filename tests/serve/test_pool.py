@@ -15,9 +15,11 @@ from repro.errors import (
     ServerClosedError,
     WorkerCrashError,
 )
+from repro.faults.models import FaultModel, FaultSpec
+from repro.faults.plan import IO_OUT, FaultPlan, ledger_from_snapshot
 from repro.fixedpoint import FxArray
 from repro.serve import WorkerPool
-from repro.telemetry import Collector, SLOPolicy
+from repro.telemetry import Collector, SLOPolicy, use_collector
 
 N_BITS = 12
 MODES = ("sigmoid", "tanh", "exp", "softmax")
@@ -267,6 +269,44 @@ class TestTelemetry:
         for mode, count in per_mode.items():
             entry = final["quantiles"][f"serve.latency.{mode}"]
             assert entry["count"] == count
+
+    def test_telemetry_off_workers_count_only_their_own(self):
+        # No collector anywhere: the workers' engines run their
+        # telemetry-off path, and the private collector keeps only the
+        # worker's own serve.pool.* counters.
+        with use_collector(None):
+            pool = WorkerPool(n_bits=N_BITS, workers=1)
+            try:
+                pool.submit(0.5).result(timeout=30)
+                pool.submit([0.5, -1.0, 2.0], mode="softmax").result(
+                    timeout=30
+                )
+            finally:
+                pool.close()
+        (snapshot,) = pool.worker_snapshots()
+        counters = snapshot["counters"]
+        assert counters["serve.pool.worker_started"] == 1
+        assert counters["serve.pool.ipc_bytes"] > 0
+        assert [
+            name for name in counters
+            if name.startswith(("engine.", "compile.", "lut."))
+        ] == []
+
+    def test_fault_plan_pool_reports_injections_without_a_collector(self):
+        plan = FaultPlan(seed=3, specs=(
+            FaultSpec(site=IO_OUT, model=FaultModel.TRANSIENT, rate=1.0,
+                      bit=0),
+        ))
+        with use_collector(None):
+            pool = WorkerPool(n_bits=N_BITS, workers=1, fault_plan=plan)
+            try:
+                pool.submit([0.25, -0.5]).result(timeout=30)
+            finally:
+                pool.close()
+        ledger = ledger_from_snapshot(pool.telemetry_snapshot())
+        assert ledger["injected"] > 0
+        (snapshot,) = pool.worker_snapshots()
+        assert snapshot["counters"]["serve.pool.worker_armed"] == 1
 
     def test_worker_snapshots_survive_close(self):
         pool = WorkerPool(n_bits=N_BITS, workers=2)

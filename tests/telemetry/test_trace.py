@@ -17,7 +17,6 @@ from repro.telemetry import (
 from repro.telemetry.trace import (
     current_sink,
     emit_fault,
-    emit_stage,
     resolve,
     use_sink,
 )
@@ -80,12 +79,11 @@ class TestStageSink:
         assert current_sink() is None
         with use_sink(sink):
             assert current_sink() is sink
-            emit_stage("x", 0, 1)
+            current_sink().emit("x", 0, 1)
             emit_fault("injected.y", 1)
             with use_sink(None):
                 # The compile path scopes the sink off this way.
                 assert current_sink() is None
-                emit_stage("hidden", 0, 1)
             assert current_sink() is sink
         assert current_sink() is None
         assert sink.events == [("x", 0, 1)]
