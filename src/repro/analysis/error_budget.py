@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.approx.minimax import fit_linear
+from repro.approx.minimax import fit_linear_segments
 from repro.funcs import sigmoid
 from repro.nacu.config import NacuConfig
 
@@ -68,12 +68,11 @@ def sigmoid_error_budget(
     """Compute the static budget for a configuration's sigmoid."""
     config = config or NacuConfig()
     edges = np.linspace(0.0, config.lut_range, config.lut_entries + 1)
-    worst_fit = max(
-        fit_linear(sigmoid, float(lo), float(hi), fit_samples).max_error
-        for lo, hi in zip(edges[:-1], edges[1:])
+    _, _, errors = fit_linear_segments(
+        sigmoid, edges[:-1], edges[1:], fit_samples
     )
     return ErrorBudget(
-        approximation=worst_fit,
+        approximation=float(errors.max()),
         slope_quantisation=config.slope_fmt.resolution / 2.0 * config.lut_range,
         bias_quantisation=config.bias_fmt.resolution / 2.0,
         output_rounding=config.io_fmt.resolution / 2.0,

@@ -14,21 +14,27 @@ all of which are implemented here so Fig. 4 can be regenerated:
   polynomials (Taylor / minimax), used by several related-work baselines.
 """
 
-from repro.approx.base import Approximator
-from repro.approx.segments import Segment, SegmentTable
-from repro.approx.lut import UniformLUT
-from repro.approx.ralut import RangeAddressableLUT
-from repro.approx.pwl import UniformPWL
-from repro.approx.nupwl import NonUniformPWL
-from repro.approx.interpolated import InterpolatedLUT
-from repro.approx.polynomial import PolynomialApproximator, taylor_coefficients
-from repro.approx.explorer import (
-    DesignPoint,
-    entries_for_accuracy,
-    error_for_entries,
-    explore_entries_vs_fracbits,
-    explore_error_vs_entries,
-)
+from repro._lazy import lazy_names
+
+# The sigmoid LUT build needs only repro.approx.minimax, which must not
+# drag every engine in with the package: the engines load on first use.
+__getattr__ = lazy_names(globals(), {
+    "Approximator": "repro.approx.base",
+    "Segment": "repro.approx.segments",
+    "SegmentTable": "repro.approx.segments",
+    "UniformLUT": "repro.approx.lut",
+    "RangeAddressableLUT": "repro.approx.ralut",
+    "UniformPWL": "repro.approx.pwl",
+    "NonUniformPWL": "repro.approx.nupwl",
+    "InterpolatedLUT": "repro.approx.interpolated",
+    "PolynomialApproximator": "repro.approx.polynomial",
+    "taylor_coefficients": "repro.approx.polynomial",
+    "DesignPoint": "repro.approx.explorer",
+    "entries_for_accuracy": "repro.approx.explorer",
+    "error_for_entries": "repro.approx.explorer",
+    "explore_entries_vs_fracbits": "repro.approx.explorer",
+    "explore_error_vs_entries": "repro.approx.explorer",
+})
 
 __all__ = [
     "Approximator",

@@ -69,13 +69,6 @@ def fit_constant_monotone(
     return (lo + hi) / 2.0, (hi - lo) / 2.0
 
 
-def _best_intercept(x: np.ndarray, y: np.ndarray, slope: float) -> Tuple[float, float]:
-    """Optimal intercept (and max residual) for a fixed slope."""
-    residual = y - slope * x
-    lo, hi = float(np.min(residual)), float(np.max(residual))
-    return (lo + hi) / 2.0, (hi - lo) / 2.0
-
-
 def fit_linear(
     f: Callable[[np.ndarray], np.ndarray],
     x_lo: float,
@@ -84,37 +77,67 @@ def fit_linear(
 ) -> LinearFit:
     """Minimax linear fit of ``f`` on ``[x_lo, x_hi]``.
 
-    The max residual, as a function of the slope (with the intercept chosen
-    optimally), is convex — a max of affine functions — so a ternary search
-    over the slope finds the global optimum.
+    The one-segment case of :func:`fit_linear_segments`. A degenerate
+    interval (``x_hi <= x_lo``) gets slope 0 and the best constant.
     """
-    x = sample_interval(x_lo, x_hi, n_samples)
-    y = np.asarray(f(x), dtype=np.float64)
-    if x_hi <= x_lo:
-        const, err = _best_intercept(x, y, 0.0)
-        return LinearFit(0.0, const, err)
+    slope, intercept, err = fit_linear_segments(f, [x_lo], [x_hi], n_samples)
+    return LinearFit(float(slope[0]), float(intercept[0]), float(err[0]))
 
-    secant = (y[-1] - y[0]) / (x[-1] - x[0])
+
+def fit_linear_segments(
+    f: Callable[[np.ndarray], np.ndarray],
+    x_lo,
+    x_hi,
+    n_samples: int = DEFAULT_SAMPLES,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimax lines of ``f`` on many segments ``[x_lo[i], x_hi[i]]`` at once.
+
+    Returns ``(slopes, intercepts, max_errors)`` arrays, one entry per
+    segment. The max residual, as a function of the slope (with the
+    intercept chosen optimally), is convex — a max of affine functions —
+    so a ternary search over the slope finds the global optimum. Every
+    segment runs the same search in lock-step, with its own grid,
+    bracket and decisions, so each row is bit-identical to fitting that
+    segment alone. ``f`` is called once, on all grids flattened.
+    """
+    lo = np.asarray(x_lo, dtype=np.float64)
+    hi = np.asarray(x_hi, dtype=np.float64)
+    # One grid per row: np.linspace switches to its denormal-step
+    # arithmetic for a whole call when any row needs it.
+    x = np.array([sample_interval(a, b, n_samples) for a, b in zip(lo, hi)])
+    y = np.asarray(f(x.reshape(-1)), dtype=np.float64).reshape(x.shape)
+    slope = np.zeros(len(x))
+    fits = hi > lo
+    slope[fits] = _minimax_slopes(x[fits], y[fits])
+    residual = y - slope[:, np.newaxis] * x
+    r_lo, r_hi = residual.min(axis=1), residual.max(axis=1)
+    return slope, (r_lo + r_hi) / 2.0, (r_hi - r_lo) / 2.0
+
+
+def _minimax_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Ternary search for each row's minimax slope (rows with ``hi > lo``)."""
+    secant = (y[:, -1] - y[:, 0]) / (x[:, -1] - x[:, 0])
     # Bracket generously around the secant slope; for convex/concave f the
     # optimum *is* the secant, for general f it stays nearby.
-    span = max(abs(secant), 1.0)
+    span = np.maximum(np.abs(secant), 1.0)
     lo_m, hi_m = secant - 2.0 * span, secant + 2.0 * span
-    ms = np.empty((2, 1))
+    x3, y3 = x[:, np.newaxis, :], y[:, np.newaxis, :]
+    ms = np.empty((len(x), 2, 1))
+    m0, m1 = ms[:, 0, 0], ms[:, 1, 0]
     for _ in range(56):
-        ms[0, 0] = lo_m + (hi_m - lo_m) / 3.0
-        ms[1, 0] = hi_m - (hi_m - lo_m) / 3.0
-        # Both candidate slopes in one broadcast: each row is elementwise
-        # y - m * x, so the residual extrema (and the <= decision) are
-        # bit-identical to two scalar _best_intercept calls.
-        r = y - ms * x
-        e = (np.max(r, axis=1) - np.min(r, axis=1)) / 2.0
-        if e[0] <= e[1]:
-            hi_m = ms[1, 0]
-        else:
-            lo_m = ms[0, 0]
-    slope = (lo_m + hi_m) / 2.0
-    intercept, err = _best_intercept(x, y, slope)
-    return LinearFit(slope, intercept, err)
+        third = (hi_m - lo_m) / 3.0
+        np.add(lo_m, third, out=m0)
+        np.subtract(hi_m, third, out=m1)
+        # Both candidate slopes of every row in one broadcast: each
+        # (row, candidate) line is elementwise y - m * x, and the
+        # extrema, the halving and the <= are taken per row.
+        r = y3 - ms * x3
+        e = np.maximum.reduce(r, axis=2) - np.minimum.reduce(r, axis=2)
+        e /= 2.0
+        left = e[:, 0] <= e[:, 1]
+        np.copyto(hi_m, m1, where=left)
+        np.copyto(lo_m, m0, where=~left)
+    return (lo_m + hi_m) / 2.0
 
 
 def max_abs_error(

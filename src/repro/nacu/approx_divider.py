@@ -15,6 +15,8 @@ exactly the normalised-mantissa range the method wants.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.errors import ConfigError, RangeError
@@ -22,9 +24,10 @@ from repro.fixedpoint import FxArray, Overflow, QFormat
 from repro.fixedpoint.bitops import bit_length
 from repro.fixedpoint.rounding import apply_overflow, shift_right_round, Rounding
 from repro.faults import inject as _faults
-from repro.hwcost.components import lut_cost, multiplier_cost, register_cost
-from repro.hwcost.gates import GateCounts
 from repro.telemetry import collector as _telemetry
+
+if TYPE_CHECKING:
+    from repro.hwcost.gates import GateCounts
 
 
 class ApproxReciprocalDivider:
@@ -236,6 +239,11 @@ class ApproxReciprocalDivider:
         (the whole point of the optimisation), so only the seed LUT, the
         iteration registers and a normaliser are new hardware.
         """
+        # Imported here: the cost model is for experiments, not serving.
+        from repro.hwcost.components import (
+            lut_cost, multiplier_cost, register_cost,
+        )
+
         seed = lut_cost(1 << self.seed_bits, operand_bits)
         registers = register_cost(3 * operand_bits)
         normaliser = multiplier_cost(operand_bits, 2)  # shifter-scale logic

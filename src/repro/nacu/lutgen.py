@@ -14,7 +14,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.approx.minimax import fit_linear
+from repro.approx.minimax import fit_linear_segments
 from repro.errors import ConfigError
 from repro.fixedpoint import QFormat
 from repro.fixedpoint.rounding import quantize_float
@@ -127,20 +127,17 @@ def clear_lut_cache() -> None:
 def build_sigmoid_lut(config: NacuConfig) -> CoefficientLUT:
     """Fit and quantise the sigmoid coefficient LUT for a configuration.
 
-    Minimax lines are fitted per uniform segment on [0, lut_range) and the
-    coefficients are rounded to the LUT word formats. For the sigmoid on
-    the positive range, slopes land in (0, 0.25] and biases in [0.5, 1) —
-    the ranges Section V.A's bias units rely on; both are asserted here so
-    a bad configuration fails at build time, not in the datapath.
+    Minimax lines are fitted per uniform segment on [0, lut_range), all
+    segments in one lock-step search, and the coefficients are rounded to
+    the LUT word formats. For the sigmoid on the positive range, slopes
+    land in (0, 0.25] and biases in [0.5, 1) — the ranges Section V.A's
+    bias units rely on; both are asserted here so a bad configuration
+    fails at build time, not in the datapath.
     """
     edges = np.linspace(0.0, config.lut_range, config.lut_entries + 1)
-    slopes, biases = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        fit = fit_linear(sigmoid, float(lo), float(hi))
-        slopes.append(fit.slope)
-        biases.append(fit.intercept)
-    slope_raw = quantize_float(np.array(slopes), config.slope_fmt)
-    bias_raw = quantize_float(np.array(biases), config.bias_fmt)
+    slopes, biases, _ = fit_linear_segments(sigmoid, edges[:-1], edges[1:])
+    slope_raw = quantize_float(slopes, config.slope_fmt)
+    bias_raw = quantize_float(biases, config.bias_fmt)
 
     bias_values = bias_raw.astype(np.float64) * config.bias_fmt.resolution
     if np.any(bias_values < 0.5) or np.any(bias_values > 1.0):

@@ -32,6 +32,9 @@ class MacUnit:
         self.rounding = rounding
         self.overflow = overflow
         self._acc: Optional[FxArray] = None
+        #: The register ``reset()`` last cleared: while ``_acc`` is still
+        #: this object, it holds zeros and a fold need not scan it.
+        self._cleared: Optional[FxArray] = None
         #: Injected telemetry collector (None: use the module registry).
         self.collector = collector
 
@@ -68,7 +71,7 @@ class MacUnit:
 
     def reset(self, shape=()) -> None:
         """Clear the accumulator (per output element for array shapes)."""
-        self._acc = FxArray.zeros(shape, self.acc_fmt)
+        self._acc = self._cleared = FxArray.zeros(shape, self.acc_fmt)
 
     def accumulate(self, a: FxArray, b: FxArray) -> FxArray:
         """One MAC step: ``acc += a * b``; returns the new accumulator."""
@@ -147,9 +150,14 @@ class MacUnit:
                 return None
         elif np.shape(acc_raw) != serial.shape[:-1]:
             return None
+        low, high = np.minimum.reduce, np.maximum.reduce
         # int64 headroom for the raw prefixes, bounded in Python ints.
-        lo, hi = int(serial.min()), int(serial.max())
-        acc_lo, acc_hi = int(acc_raw.min()), int(acc_raw.max())
+        lo, hi = int(low(serial, axis=None)), int(high(serial, axis=None))
+        if self._acc is self._cleared:
+            acc_lo = acc_hi = 0
+        else:
+            acc_lo = int(low(acc_raw, axis=None))
+            acc_hi = int(high(acc_raw, axis=None))
         peak = max(-lo, hi) << scale
         start = max(-acc_lo, acc_hi)
         if peak * serial.shape[-1] + start >= (1 << 62):
@@ -159,10 +167,16 @@ class MacUnit:
             prefixes = prefixes + (
                 acc_raw if axis is None else acc_raw[..., np.newaxis]
             )
-        if (
-            int(prefixes.min()) < self.acc_fmt.raw_min
-            or int(prefixes.max()) > self.acc_fmt.raw_max
-        ):
+        last = prefixes[..., -1]
+        if lo >= 0 and acc_lo >= 0:
+            # Non-negative steps from a non-negative start: each row
+            # rises, so its last prefix is its largest and its start
+            # (>= 0 >= raw_min) bounds it from below.
+            top, bottom = int(high(last, axis=None)), acc_lo
+        else:
+            top = int(high(prefixes, axis=None))
+            bottom = int(low(prefixes, axis=None))
+        if bottom < self.acc_fmt.raw_min or top > self.acc_fmt.raw_max:
             return None  # a step would saturate: order matters, walk it
         if tel is not None:
             tel.count("mac.fold.vectorised")
@@ -170,7 +184,6 @@ class MacUnit:
         # so the final one is in range by construction. ascontiguousarray
         # would promote a 0-d (axis=None) accumulator to 1-D, so the
         # scalar case wraps through asarray instead.
-        last = prefixes[..., -1]
         self._acc = FxArray._wrap(
             np.asarray(last) if np.ndim(last) == 0
             else np.ascontiguousarray(last),

@@ -30,6 +30,7 @@ Six pieces, separable and composable:
 ``--pool N`` to demo the worker pool).
 """
 
+from repro._lazy import lazy_names
 from repro.errors import (
     BackpressureError,
     ResponseTimeoutError,
@@ -40,7 +41,6 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.serve.batcher import SERVABLE_MODES, Batch, MicroBatcher, Request
-from repro.serve.frontend import AsyncFrontend
 from repro.serve.pool import WorkerPool
 from repro.serve.resilience import ResponsePolicy, ResponseVerifier
 from repro.serve.server import InferenceServer
@@ -55,6 +55,10 @@ from repro.serve.store import (
     TableEntry,
     mmap_table,
 )
+
+# The asyncio front door imports asyncio (and through it ssl), which
+# neither serving tier uses: it loads on first access.
+__getattr__ = lazy_names(globals(), {"AsyncFrontend": "repro.serve.frontend"})
 
 __all__ = [
     "AsyncFrontend",

@@ -223,9 +223,14 @@ class _FrontEnd:
                 return
 
     def _wake_dispatcher(self) -> None:
-        """Make the dispatcher re-run the gate: an executor freed or left."""
+        """Make the dispatcher re-run the gate: an executor freed or left.
+
+        Only a held group or a close gives the gate anything to decide;
+        a submit into an empty batcher wakes the dispatcher itself.
+        """
         with self._cond:
-            self._cond.notify()
+            if self._batcher or self._closed:
+                self._cond.notify()
 
     def _drop(self, ready, tracer) -> None:
         """``close(flush=False)``: fail never-dispatched batches."""

@@ -25,6 +25,7 @@ The serving observability layer rides the same registry pattern:
 ...     snapshot = tel.snapshot()      # doctest: +SKIP
 """
 
+from repro._lazy import lazy_names
 from repro.telemetry.collector import (
     Collector,
     disable,
@@ -35,20 +36,12 @@ from repro.telemetry.collector import (
     set_collector,
     use_collector,
 )
-from repro.telemetry.export import (
-    read_traces_jsonl,
-    render_prometheus,
-    render_trace_timeline,
-    write_traces_jsonl,
-)
-from repro.telemetry.nn_probe import probe_layer_error
 from repro.telemetry.quantiles import (
     StreamingQuantiles,
     merge_quantile_entries,
     quantile_from_entry,
     quantiles_from_entry,
 )
-from repro.telemetry.report import derived_rates, render_snapshot, render_table
 from repro.telemetry.slo import SLOAccountant, SLOPolicy, slo_summary
 from repro.telemetry.trace import (
     RequestTrace,
@@ -60,6 +53,19 @@ from repro.telemetry.trace import (
     set_tracer,
     use_tracer,
 )
+
+# Reporting, export and the NN probe are for operators and experiments;
+# serving never calls them, so they load on first access.
+__getattr__ = lazy_names(globals(), {
+    "read_traces_jsonl": "repro.telemetry.export",
+    "render_prometheus": "repro.telemetry.export",
+    "render_trace_timeline": "repro.telemetry.export",
+    "write_traces_jsonl": "repro.telemetry.export",
+    "probe_layer_error": "repro.telemetry.nn_probe",
+    "derived_rates": "repro.telemetry.report",
+    "render_snapshot": "repro.telemetry.report",
+    "render_table": "repro.telemetry.report",
+})
 
 __all__ = [
     "Collector",

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, FaultSpec, Protection, use_plan
 from repro.fixedpoint import FxArray, QFormat
 from repro.nacu.mac import MacUnit
+from repro.telemetry import Collector, use_collector
 
 
 ACC = QFormat(8, 11)
@@ -157,6 +159,83 @@ class TestFoldFastPath:
         out = mac.accumulate_sum(FxArray(np.empty((4, 0), dtype=np.int64), IO),
                                  axis=-1)
         np.testing.assert_array_equal(out.raw, np.zeros(4, dtype=np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fold_decision_and_words_match_the_serial_loop(self, data):
+        # An accumulator no wider than the inputs, so a step or two can
+        # reach either rail; a targeted row steers one prefix onto a rail
+        # or one LSB past it.
+        acc_fmt = IO
+        fmt = data.draw(st.sampled_from([IO, QFormat(4, 9)]), "values fmt")
+        scale = acc_fmt.fb - fmt.fb
+        layout, axis = data.draw(st.sampled_from([
+            (1, None), (1, -1), (1, 0), (2, -1), (2, 0), (2, None),
+        ]), "layout")
+        rows = data.draw(st.integers(1, 3), "rows")
+        cols = data.draw(st.integers(1, 6), "cols")
+        slices, steps = (
+            (1, rows * cols) if axis is None else
+            (1 if layout == 1 else rows, cols)
+        )
+        positive = data.draw(st.booleans(), "non-negative")
+        word_min = 0 if positive else fmt.raw_min
+        word = st.integers(word_min, fmt.raw_max)
+        serial = [data.draw(st.lists(word, min_size=steps, max_size=steps))
+                  for _ in range(slices)]
+        start = data.draw(st.one_of(
+            st.none(),
+            st.lists(st.integers(0 if positive else acc_fmt.raw_min,
+                                 acc_fmt.raw_max),
+                     min_size=slices, max_size=slices),
+        ), "start")
+        begin = start or [0] * slices
+        rail = data.draw(st.sampled_from([
+            None, acc_fmt.raw_max, acc_fmt.raw_max + 1,
+            acc_fmt.raw_min, acc_fmt.raw_min - 1,
+        ]), "rail")
+        if rail is not None:
+            row = data.draw(st.integers(0, slices - 1), "target row")
+            step = data.draw(st.integers(0, steps - 1), "target step")
+            acc = begin[row]
+            for j in range(step + 1):
+                share = (rail - acc) // ((step + 1 - j) << scale)
+                serial[row][j] = min(max(share, word_min), fmt.raw_max)
+                acc += serial[row][j] << scale
+
+        prefixes = [p for row, acc in zip(serial, begin)
+                    for p in np.cumsum([acc] + [v << scale for v in row])[1:]]
+        fast_expected = all(
+            acc_fmt.raw_min <= int(p) <= acc_fmt.raw_max for p in prefixes
+        )
+        table = np.array(serial, dtype=np.int64)
+        if layout == 1:
+            raw = table[0]
+        elif axis is None:
+            raw = table[0].reshape(rows, cols)
+        else:
+            raw = table if axis == -1 else table.T
+        values = FxArray(raw, fmt)
+        shape = () if axis is None or layout == 1 else (slices,)
+
+        def primed():
+            mac = MacUnit(acc_fmt)
+            mac.reset(shape)
+            if start is not None:
+                one = FxArray.from_raw(1 << acc_fmt.fb, QFormat(1, acc_fmt.fb))
+                mac.accumulate(
+                    FxArray.from_raw(np.array(start).reshape(shape), acc_fmt),
+                    one,
+                )
+            return mac
+
+        with use_collector(Collector()) as tel:
+            out = primed().accumulate_sum(values, axis)
+        counters = tel.snapshot()["counters"]
+        want = primed()._fold_loop(values, axis)
+        assert out.raw.shape == want.raw.shape
+        assert out.raw.tobytes() == np.ascontiguousarray(want.raw).tobytes()
+        assert ("mac.fold.vectorised" in counters) == fast_expected
 
 
 class TestMulAdd:

@@ -100,6 +100,33 @@ class TestLifecycle:
                 pool.submit(0.5, mode="mac")
 
 
+class TestIdleDispatch:
+    def test_a_reply_to_an_empty_batcher_leaves_the_dispatcher_asleep(
+        self, reference
+    ):
+        # A lone request on an idle pool costs the dispatcher two gate
+        # runs: the submit's wake ships it, the next round finds nothing
+        # and sleeps. The reply that empties the worker has no group to
+        # release, so it must not wake the gate a third time.
+        requests = 200
+        with WorkerPool(n_bits=N_BITS, workers=1) as pool:
+            pool.submit(0.5).result(timeout=30)
+            calls = []
+            take_ready = pool._batcher.take_ready
+
+            def counted(*args, **kwargs):
+                calls.append(None)
+                return take_ready(*args, **kwargs)
+
+            pool._batcher.take_ready = counted
+            xs = np.random.default_rng(5).uniform(-6, 6, size=requests)
+            for x in xs:
+                assert pool.submit(x).result(timeout=30) == reference.sigmoid(x)
+            runs = len(calls)
+        # The warm-up request's second round may land after the patch.
+        assert runs <= 2 * requests + 1
+
+
 class TestBitIdentity:
     def test_mixed_stream_identical_to_serial_engine(self, reference):
         requests = _mixed_requests(128, seed=5)

@@ -1,5 +1,10 @@
 """The documented public API must stay importable and stable."""
 
+import importlib
+import os
+import subprocess
+import sys
+
 import pytest
 
 
@@ -29,8 +34,12 @@ class TestTopLevel:
 class TestSubpackageSurfaces:
     @pytest.mark.parametrize("module,names", [
         ("repro.fixedpoint", ["FxArray", "QFormat", "ops", "select_format"]),
-        ("repro.approx", ["UniformLUT", "RangeAddressableLUT", "UniformPWL",
-                          "NonUniformPWL", "InterpolatedLUT"]),
+        ("repro.approx", ["Approximator", "DesignPoint", "InterpolatedLUT",
+                          "NonUniformPWL", "PolynomialApproximator",
+                          "RangeAddressableLUT", "Segment", "SegmentTable",
+                          "UniformLUT", "UniformPWL", "entries_for_accuracy",
+                          "error_for_entries", "explore_entries_vs_fracbits",
+                          "explore_error_vs_entries", "taylor_coefficients"]),
         ("repro.nacu", ["Nacu", "NacuConfig", "FunctionMode",
                         "build_sigmoid_lut"]),
         ("repro.baselines", ["RELATED_WORK", "get_baseline", "iter_baselines"]),
@@ -42,16 +51,79 @@ class TestSubpackageSurfaces:
         ("repro.rtl", ["NacuPipeline", "Pipeline", "SoftmaxSequencer"]),
         ("repro.cgra", ["Fabric", "FabricLstm", "map_mlp"]),
         ("repro.experiments", ["EXPERIMENTS", "run_experiment"]),
-        ("repro.serve", ["InferenceServer", "WorkerPool", "AsyncFrontend",
-                         "MicroBatcher", "SharedTableStore",
-                         "AttachedTableSource"]),
+        ("repro.serve", ["AsyncFrontend", "AttachedTableSource",
+                         "BackpressureError", "Batch", "InferenceServer",
+                         "MicroBatcher", "MmapTableSource", "Request",
+                         "ResponsePolicy", "ResponseTimeoutError",
+                         "ResponseVerificationError", "ResponseVerifier",
+                         "RingManifest", "RingSlotState", "SERVABLE_MODES",
+                         "ServeError", "ServerClosedError",
+                         "SharedTableStore", "SlotRing", "StoreManifest",
+                         "TableEntry", "TornFrameError", "WorkerCrashError",
+                         "WorkerPool", "mmap_table"]),
+        ("repro.telemetry", ["Collector", "RequestTrace", "SLOAccountant",
+                             "SLOPolicy", "StageSink", "StreamingQuantiles",
+                             "Tracer", "derived_rates", "disable",
+                             "disable_tracing", "enable", "enable_tracing",
+                             "get_collector", "get_tracer",
+                             "merge_quantile_entries", "merge_snapshots",
+                             "probe_layer_error", "quantile_from_entry",
+                             "quantiles_from_entry", "read_traces_jsonl",
+                             "render_prometheus", "render_snapshot",
+                             "render_table", "render_trace_timeline",
+                             "resolve", "set_collector", "set_tracer",
+                             "slo_summary", "use_collector", "use_tracer",
+                             "write_traces_jsonl"]),
         ("repro.loadgen", ["LoadGenerator", "LoadReport", "RequestMix",
                            "make_requests", "make_offsets",
                            "poisson_offsets", "bursty_offsets"]),
     ])
     def test_surface(self, module, names):
-        import importlib
-
         mod = importlib.import_module(module)
         for name in names:
             assert hasattr(mod, name), f"{module}.{name} missing"
+
+    @pytest.mark.parametrize(
+        "module", ["repro", "repro.serve", "repro.approx", "repro.telemetry"]
+    )
+    def test_star_import_binds_every_export(self, module):
+        mod = importlib.import_module(module)
+        namespace = {}
+        exec(f"from {module} import *", namespace)
+        for name in mod.__all__:
+            assert namespace[name] is getattr(mod, name), name
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import repro.approx
+
+        with pytest.raises(AttributeError, match="no_such_engine"):
+            repro.approx.no_such_engine
+
+
+class TestImportFootprint:
+    """What a serving process leaves unloaded: modules, not milliseconds."""
+
+    #: Modules neither serving tier calls.
+    UNUSED = (
+        "asyncio", "ssl", "repro.serve.frontend", "repro.hwcost",
+        "repro.telemetry.export", "repro.telemetry.report",
+        "repro.telemetry.nn_probe",
+    )
+
+    def test_serving_import_loads_only_what_serving_calls(self):
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=(
+            src if not path else os.pathsep.join([src, path])
+        ))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.serve; print(' '.join(sys.modules))"],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        ).stdout.split()
+        assert [m for m in self.UNUSED if m in out] == []
+        assert [m for m in out if m.startswith("repro.approx.")] == [
+            "repro.approx.minimax"
+        ]
