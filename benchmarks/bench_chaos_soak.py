@@ -124,7 +124,7 @@ def test_disarmed_resilience_overhead(record_result):
     cpu_bound = host_cpus < 2
     requests = make_requests(2048, rng=31)
     reference = BatchEngine.for_bits(N_BITS, fast=True)
-    policy = ResponsePolicy(verify=True, canary_every=0, max_retries=2)
+    policy = ResponsePolicy(canary_every=0, max_retries=2)
 
     pools = {
         "bare": WorkerPool(n_bits=N_BITS, workers=2),

@@ -169,9 +169,7 @@ def test_pool_scaling_req_per_s_and_exactness(record_result):
     collector = Collector()
     pool = WorkerPool(
         n_bits=N_BITS, workers=2, collector=collector,
-        resilience=ResponsePolicy(
-            verify=True, canary_every=8, max_retries=2
-        ),
+        resilience=ResponsePolicy(canary_every=8, max_retries=2),
     )
     try:
         generator = LoadGenerator(pool, verify_engine=reference)

@@ -15,6 +15,10 @@ from typing import Callable, Tuple
 import numpy as np
 
 DEFAULT_SAMPLES = 257
+#: Segments :func:`fit_linear_segments` fits together. Bounds the slope
+#: search's ``(rows, 2, samples)`` temporaries: 4 MiB each at 1024 rows
+#: of 257 samples, where ``UniformPWL.for_accuracy`` probes up to 16384.
+_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -98,10 +102,18 @@ def fit_linear_segments(
     so a ternary search over the slope finds the global optimum. Every
     segment runs the same search in lock-step, with its own grid,
     bracket and decisions, so each row is bit-identical to fitting that
-    segment alone. ``f`` is called once, on all grids flattened.
+    segment alone. Rows are fitted in chunks of up to ``_CHUNK_ROWS``,
+    and ``f`` is called once per chunk, on its grids flattened.
     """
     lo = np.asarray(x_lo, dtype=np.float64)
     hi = np.asarray(x_hi, dtype=np.float64)
+    if len(lo) > _CHUNK_ROWS:
+        fits = [
+            fit_linear_segments(f, lo[i:i + _CHUNK_ROWS],
+                                hi[i:i + _CHUNK_ROWS], n_samples)
+            for i in range(0, len(lo), _CHUNK_ROWS)
+        ]
+        return tuple(np.concatenate(column) for column in zip(*fits))
     # One grid per row: np.linspace switches to its denormal-step
     # arithmetic for a whole call when any row needs it.
     x = np.array([sample_interval(a, b, n_samples) for a, b in zip(lo, hi)])

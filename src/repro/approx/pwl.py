@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.approx.base import Approximator
 from repro.approx.lut import quantise_output
-from repro.approx.minimax import fit_linear
+from repro.approx.minimax import fit_linear_segments
 from repro.approx.segments import Segment, SegmentTable
 from repro.errors import ConfigError, ConvergenceError
 from repro.fixedpoint import QFormat
@@ -42,10 +42,15 @@ class UniformPWL(Approximator):
         self.f = f
         self.out_fmt = out_fmt
         edges = np.linspace(x_lo, x_hi, n_entries + 1)
-        segments = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            fit = fit_linear(f, float(lo), float(hi), _FIT_SAMPLES)
-            segments.append(Segment(float(lo), float(hi), fit.slope, fit.intercept))
+        slopes, intercepts, _ = fit_linear_segments(
+            f, edges[:-1], edges[1:], _FIT_SAMPLES
+        )
+        segments = [
+            Segment(*row) for row in zip(
+                edges[:-1].tolist(), edges[1:].tolist(),
+                slopes.tolist(), intercepts.tolist(),
+            )
+        ]
         self.table = SegmentTable(segments).quantise_coefficients(
             slope_fmt, intercept_fmt
         )

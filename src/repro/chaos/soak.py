@@ -137,7 +137,6 @@ class ChaosScenario:
         if self.mitigation == "none":
             return None
         return ResponsePolicy(
-            verify=True,
             canary_every=self.canary_every,
             max_retries=self.max_retries if self.mitigation == "retry" else 0,
             quarantine_after=self.quarantine_after,

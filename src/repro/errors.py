@@ -92,7 +92,5 @@ class ResponseVerificationError(ServeError):
 class ResponseTimeoutError(ServeError):
     """A dispatched batch overran the response deadline on every attempt.
 
-    The response policy hedges a straggling batch onto another worker
-    first; this error surfaces only when the hedge (and any retries)
-    also time out. Counted under ``serve.resilience.timeouts``.
+    Counted under ``serve.resilience.timeouts``.
     """

@@ -22,9 +22,9 @@ Six pieces, separable and composable:
   over either backend;
 * :mod:`repro.serve.resilience` — the chaos defence: response
   verification (range/row-sum invariants, interleaved golden canaries),
-  bounded retry and hedging, worker quarantine — driven by a
-  :class:`~repro.serve.resilience.ResponsePolicy` handed to either
-  serving tier.
+  bounded retry, timeouts and worker quarantine — driven by a
+  :class:`~repro.serve.resilience.ResponsePolicy` handed to the worker
+  pool, the one place a batch is verified or retried.
 
 ``python -m repro.serve`` runs a self-contained demo server (add
 ``--pool N`` to demo the worker pool).

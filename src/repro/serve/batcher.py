@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.engine import BatchEngine
-from repro.errors import RangeError, ResponseVerificationError, ServeError
+from repro.errors import RangeError, ServeError
 from repro.fixedpoint import FxArray
 from repro.nacu.config import FunctionMode
 from repro.telemetry import collector as _telemetry
@@ -391,8 +391,7 @@ class Batch:
             )
 
     def run(self, engine: BatchEngine, collector=None,
-            tracer=None, slo=None, verifier=None,
-            max_retries: int = 0) -> None:
+            tracer=None, slo=None) -> None:
         """Evaluate, scatter, resolve every future (never raises).
 
         Observability rides per batch: queue-wait spans, a per-mode
@@ -400,14 +399,6 @@ class Batch:
         good/bad classification, and — only when the batch carries
         sampled traces — a stage sink around the engine call whose
         collected timeline fans out to every member trace.
-
-        ``verifier`` (a :class:`~repro.serve.resilience.
-        ResponseVerifier`) checks the fused output's invariants before
-        any future resolves; a flagged result is re-evaluated up to
-        ``max_retries`` times — meaningful under an armed transient
-        fault plan, whose RNG streams advance per crossing — and then
-        failed loudly with :class:`ResponseVerificationError`. Counts
-        land under the same ``serve.resilience.*`` names the pool uses.
         """
         start = time.perf_counter_ns()
         tel, traces, enqueue_ns = self.begin(
@@ -417,34 +408,11 @@ class Batch:
             sink = _tracing.StageSink() if traces else None
             fmt = engine.io_fmt
             payload = self.fused_raw(fmt)
-            attempt = 0
-            while True:
-                if sink is None:
+            if sink is None:
+                out_raw = evaluate_fused(engine, self.mode, payload)
+            else:
+                with _tracing.use_sink(sink):
                     out_raw = evaluate_fused(engine, self.mode, payload)
-                else:
-                    with _tracing.use_sink(sink):
-                        out_raw = evaluate_fused(engine, self.mode, payload)
-                reason = (
-                    verifier.check(self.mode, out_raw)
-                    if verifier is not None else None
-                )
-                if reason is None:
-                    break
-                if tel is not None:
-                    tel.count("serve.resilience.verify_failures")
-                    tel.observe_span(
-                        "serve.resilience.detect",
-                        time.perf_counter_ns() - start,
-                    )
-                if attempt >= max_retries:
-                    if tel is not None:
-                        tel.count("serve.resilience.failed")
-                    raise ResponseVerificationError(reason)
-                attempt += 1
-                if tel is not None:
-                    tel.count("serve.resilience.retries")
-            if attempt and tel is not None:
-                tel.count("serve.resilience.corrected", len(self.requests))
             self.finish(
                 out_raw, fmt, tel=tel, traces=traces,
                 enqueue_ns=enqueue_ns, slo=slo, tracer=tracer,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import asyncio
 from typing import Optional, Union
 
-from repro.errors import BackpressureError, WorkerCrashError
+from repro.errors import BackpressureError
 from repro.nacu.config import FunctionMode
 from repro.telemetry import collector as _telemetry
 
@@ -41,22 +41,11 @@ class AsyncFrontend:
     check race-free.
     """
 
-    def __init__(
-        self, backend, *, max_inflight: int = 4096, retry_crashes: int = 0
-    ):
+    def __init__(self, backend, *, max_inflight: int = 4096):
         if max_inflight <= 0:
             raise ValueError("max_inflight must be positive")
-        if retry_crashes < 0:
-            raise ValueError("retry_crashes must be non-negative")
         self.backend = backend
         self.max_inflight = max_inflight
-        #: How many times :meth:`submit` resubmits a request whose batch
-        #: died with a worker (:class:`WorkerCrashError`) before letting
-        #: the error propagate. Crash-retry is safe at this layer — the
-        #: request never produced a response, so resubmission cannot
-        #: duplicate work the caller observed. Each resubmission counts
-        #: under ``serve.frontend.retries``.
-        self.retry_crashes = retry_crashes
         self._inflight = 0
 
     @property
@@ -76,9 +65,10 @@ class AsyncFrontend:
         in, fixed-point out — the backend's contract). Raises
         :class:`BackpressureError` when ``max_inflight`` requests are
         already awaited (counted under ``serve.frontend.shed``) and
-        propagates backend sheds and evaluation errors unchanged —
-        except :class:`WorkerCrashError`, which is resubmitted up to
-        ``retry_crashes`` times before propagating.
+        propagates backend sheds and evaluation errors unchanged. A
+        batch lost with a crashed worker is retried, if at all, by the
+        pool's response policy (``WorkerPool(resilience=...)``), which
+        counts every attempt; the error that reaches here is final.
         """
         if self._inflight >= self.max_inflight:
             self._shed()
@@ -87,16 +77,8 @@ class AsyncFrontend:
             )
         self._inflight += 1
         try:
-            attempt = 0
-            while True:
-                future = self.backend.submit(x, mode=mode, axis=axis)
-                try:
-                    return await asyncio.wrap_future(future)
-                except WorkerCrashError:
-                    if attempt >= self.retry_crashes:
-                        raise
-                    attempt += 1
-                    self._count_retry()
+            future = self.backend.submit(x, mode=mode, axis=axis)
+            return await asyncio.wrap_future(future)
         finally:
             self._inflight -= 1
 
@@ -110,11 +92,6 @@ class AsyncFrontend:
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.close()
-
-    def _count_retry(self) -> None:
-        tel = _telemetry.resolve(getattr(self.backend, "collector", None))
-        if tel is not None:
-            tel.count("serve.frontend.retries")
 
     def _shed(self) -> None:
         tel = _telemetry.resolve(getattr(self.backend, "collector", None))

@@ -230,10 +230,10 @@ class _Pending:
     """One batch in flight to a worker, with its observability context."""
 
     __slots__ = ("batch", "tel", "traces", "enqueue_ns", "dispatch_ns",
-                 "tracer", "flight", "attempt", "slot", "shape")
+                 "tracer", "flight", "slot", "shape")
 
     def __init__(self, batch, tel, traces, enqueue_ns, dispatch_ns, tracer,
-                 flight=None, attempt=0):
+                 flight=None):
         self.batch = batch
         self.tel = tel
         self.traces = traces
@@ -243,8 +243,6 @@ class _Pending:
         #: The resilience :class:`~repro.serve.resilience.Flight` this
         #: attempt belongs to, or ``None`` on a policy-free pool.
         self.flight = flight
-        #: This attempt's index within the flight (0 = primary).
-        self.attempt = attempt
         #: The ring slot this attempt occupies (None: it overflowed
         #: onto the pipe).
         self.slot = None
@@ -317,7 +315,6 @@ class WorkerPool(_FrontEnd):
         max_delay_us: float = 0.0,
         max_pending_elements: int = 1 << 20,
         publish_cache: Optional[TableCache] = None,
-        mp_context: Optional[str] = None,
         collector=None,
         tracer=None,
         slo=None,
@@ -374,12 +371,13 @@ class WorkerPool(_FrontEnd):
             _telemetry.resolve(collector) is not None
             or fault_plan is not None
         )
-        if mp_context is None:
-            # fork is the whole point (attach without re-import); spawn
-            # works too — everything crossing the boundary pickles.
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else methods[0]
-        self._ctx = multiprocessing.get_context(mp_context)
+        # fork is the whole point (attach without re-import); where it
+        # is missing, the platform's method works too — everything
+        # crossing the boundary pickles.
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else methods[0]
+        )
 
         # Publish once, before any fork: every worker attaches to this
         # one image. A format too wide for the cache ceiling cannot be
@@ -618,8 +616,9 @@ class WorkerPool(_FrontEnd):
                         out_raw = np.array(out_raw)
                     self._deliver(handle, pending, out_raw, events, faults)
                 finally:
-                    # Every reply frees its slot pair — stale replies
-                    # (a lost hedge race) included, or the ring leaks.
+                    # Every reply frees its slot pair — a stale one (its
+                    # flight already timed out) included, or the ring
+                    # leaks.
                     self._free_slot(handle, slot)
             elif kind == "err":
                 _, seq, exc = message
@@ -713,7 +712,6 @@ class WorkerPool(_FrontEnd):
                 in_flight_seqs=[seq for seq, _ in orphans],
                 ring_slots=self._ring_forensics(handle, orphans),
             )
-            flighted = [p for _, p in orphans if p.flight is not None]
             for _, pending in orphans:
                 if pending.flight is not None:
                     continue  # the resilience manager decides its fate
@@ -721,8 +719,6 @@ class WorkerPool(_FrontEnd):
                     exc, traces=pending.traces, slo=self.slo,
                     tracer=pending.tracer,
                 )
-            if flighted:
-                self._resilience.on_crash(handle, flighted, exc)
         # A quarantined worker that delivered its final snapshot retired
         # gracefully: its batches were answered first (pipe FIFO) and
         # its counts move to the retired list, so the replacement below
@@ -747,6 +743,11 @@ class WorkerPool(_FrontEnd):
                     # Both the dispatcher and any dispatch-wait sleeper
                     # may be blocked on a live worker appearing.
                     self._cond.notify_all()
+        flighted = [p for _, p in orphans if p.flight is not None]
+        if flighted:
+            # After the restart, so a retry has the replacement to land
+            # on: on a one-worker pool it is the only live worker.
+            self._resilience.on_crash(handle, flighted, exc)
         if replaced:
             # The old handle left the roster, so close() will never join
             # it — reap the process, its pipe and its rings here, on its
@@ -1007,7 +1008,7 @@ class WorkerPool(_FrontEnd):
                 pending = _Pending(
                     flight.batch, flight.tel, flight.traces,
                     flight.enqueue_ns, dispatch_ns, flight.tracer,
-                    flight=flight, attempt=flight.attempts,
+                    flight=flight,
                 )
             with handle.lock:
                 handle.in_flight[seq] = pending
@@ -1022,8 +1023,6 @@ class WorkerPool(_FrontEnd):
             )
             if sent:
                 with flight.lock:
-                    flight.attempts += 1
-                    flight.last_dispatch_ns = dispatch_ns
                     if not flight.first_dispatch_ns:
                         flight.first_dispatch_ns = dispatch_ns
                     flight.worker_ids.append(handle.worker_id)

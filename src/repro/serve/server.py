@@ -44,7 +44,6 @@ from repro.engine import BatchEngine, InputLike
 from repro.errors import BackpressureError, ServeError, ServerClosedError
 from repro.nacu.config import FunctionMode, NacuConfig
 from repro.serve.batcher import SERVABLE_MODES, MicroBatcher, build_request
-from repro.serve.resilience import ResponsePolicy, ResponseVerifier
 from repro.telemetry import collector as _telemetry
 from repro.telemetry import trace as _tracing
 from repro.telemetry.slo import SLOAccountant, SLOPolicy
@@ -291,7 +290,6 @@ class InferenceServer(_FrontEnd):
         collector=None,
         tracer=None,
         slo=None,
-        resilience: Optional[ResponsePolicy] = None,
     ):
         if workers < 1:
             raise ServeError("the server needs at least one worker")
@@ -329,19 +327,6 @@ class InferenceServer(_FrontEnd):
             tracer=tracer, slo=slo,
         )
         self.workers = workers
-        #: In-process response defence: the invariant checks and bounded
-        #: re-evaluation half of a :class:`ResponsePolicy`. Canaries,
-        #: hedging and quarantine are pool concepts (they exist for the
-        #: process trust boundary) and are ignored here.
-        self._verifier = (
-            ResponseVerifier(
-                self.engine.nacu.config, resilience.softmax_sum_slack
-            )
-            if resilience is not None and resilience.verify else None
-        )
-        self._max_retries = (
-            resilience.max_retries if resilience is not None else 0
-        )
         self._pool = (
             ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="nacu-serve"
@@ -363,19 +348,13 @@ class InferenceServer(_FrontEnd):
     def _run(self, ready, tracer) -> None:
         if self._pool is None:
             for batch in ready:
-                batch.run(
-                    self.engine, self.collector, tracer, self.slo,
-                    verifier=self._verifier,
-                    max_retries=self._max_retries,
-                )
+                batch.run(self.engine, self.collector, tracer, self.slo)
             return
         with self._cond:
             self._busy += len(ready)
         for batch in ready:
             self._pool.submit(
-                batch.run, self.engine, self.collector, tracer,
-                self.slo, verifier=self._verifier,
-                max_retries=self._max_retries,
+                batch.run, self.engine, self.collector, tracer, self.slo,
             ).add_done_callback(self._batch_done)
 
     def _batch_done(self, future) -> None:

@@ -2,8 +2,9 @@
 
 ``reference_fit_linear`` is the per-segment ternary search that
 ``fit_linear`` ran before every segment shared one search; the LUT
-builder and the error budget used to call it once per segment. Every
-comparison here is on the float64 bytes.
+builder and the error budget used to call it once per segment, and
+``PerSegmentPWL`` is ``UniformPWL`` as it was, one ``fit_linear`` call
+per segment. Every comparison here is on the float64 bytes.
 """
 
 import struct
@@ -15,11 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.error_budget import sigmoid_error_budget
 from repro.approx.minimax import (
+    _CHUNK_ROWS,
     LinearFit,
     fit_linear,
     fit_linear_segments,
     sample_interval,
 )
+from repro.approx.pwl import _FIT_SAMPLES, UniformPWL
+from repro.approx.segments import Segment, SegmentTable
+from repro.fixedpoint import QFormat
 from repro.fixedpoint.rounding import quantize_float
 from repro.funcs import sigmoid
 from repro.nacu.config import NacuConfig
@@ -177,3 +182,55 @@ class TestSigmoidLutWords:
         assert struct.pack("<d", budget.approximation) == (
             struct.pack("<d", worst)
         )
+
+
+class PerSegmentPWL(UniformPWL):
+    """``UniformPWL`` fitted one ``fit_linear`` call per segment."""
+
+    def __init__(self, f, x_lo, x_hi, n_entries, slope_fmt=None,
+                 intercept_fmt=None, out_fmt=None):
+        self.f = f
+        self.out_fmt = out_fmt
+        edges = np.linspace(x_lo, x_hi, n_entries + 1)
+        segments = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            fit = fit_linear(f, float(lo), float(hi), _FIT_SAMPLES)
+            segments.append(
+                Segment(float(lo), float(hi), fit.slope, fit.intercept)
+            )
+        self.table = SegmentTable(segments).quantise_coefficients(
+            slope_fmt, intercept_fmt
+        )
+
+
+def table_words(table):
+    return [struct.pack("<4d", s.x_lo, s.x_hi, s.slope, s.intercept)
+            for s in table.segments]
+
+
+#: LUT word formats: quantisation moves every coefficient, and the
+#: accuracy target below stays reachable.
+FORMATS = {"slope_fmt": QFormat(0, 14), "intercept_fmt": QFormat(1, 14)}
+
+
+class TestUniformPWLSegments:
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, _CHUNK_ROWS + 1])
+    def test_segments_match_the_per_segment_loop(self, n):
+        want = PerSegmentPWL(sigmoid, 0.0, 8.0, n).table
+        got = UniformPWL(sigmoid, 0.0, 8.0, n).table
+        assert len(got) == n
+        assert table_words(got) == table_words(want)
+        got = UniformPWL(sigmoid, 0.0, 8.0, n, **FORMATS).table
+        assert table_words(got) == table_words(
+            want.quantise_coefficients(**FORMATS)
+        )
+
+    @pytest.mark.parametrize("formats", [{}, FORMATS],
+                             ids=["float", "quantised"])
+    def test_for_accuracy_picks_the_same_table(self, formats):
+        target = 2.0 ** -10 * 0.95
+        got = UniformPWL.for_accuracy(sigmoid, 0.0, 8.0, target, **formats)
+        want = PerSegmentPWL.for_accuracy(sigmoid, 0.0, 8.0, target,
+                                          **formats)
+        assert got.n_entries == want.n_entries
+        assert table_words(got.table) == table_words(want.table)

@@ -47,7 +47,7 @@ class TestScenarioValidation:
         assert ChaosScenario(name="x", mitigation="none").policy() is None
         detect = ChaosScenario(name="x", mitigation="detect",
                                max_retries=7).policy()
-        assert detect.max_retries == 0 and detect.verify
+        assert detect.max_retries == 0
         retry = ChaosScenario(name="x", mitigation="retry",
                               max_retries=7).policy()
         assert retry.max_retries == 7

@@ -1,13 +1,21 @@
 """AsyncFrontend: async submission, admission control, both backends."""
 
 import asyncio
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from repro.engine import BatchEngine
 from repro.errors import BackpressureError, RangeError, WorkerCrashError
-from repro.serve import AsyncFrontend, InferenceServer, WorkerPool
+from repro.serve import (
+    AsyncFrontend,
+    InferenceServer,
+    ResponsePolicy,
+    WorkerPool,
+)
 from repro.telemetry import Collector, SLOPolicy
 
 N_BITS = 12
@@ -123,9 +131,8 @@ class TestAdmissionControl:
 class _CrashyBackend:
     """Serving-contract fake: fails the first ``crashes`` submissions."""
 
-    def __init__(self, crashes, collector=None):
+    def __init__(self, crashes):
         self.crashes = crashes
-        self.collector = collector
         self.submissions = 0
 
     def submit(self, x, mode="sigmoid", axis=-1):
@@ -144,19 +151,6 @@ class _CrashyBackend:
 
 
 class TestCrashRetry:
-    def test_resubmits_after_a_crash_and_counts_it(self):
-        collector = Collector()
-        backend = _CrashyBackend(crashes=1, collector=collector)
-
-        async def scenario():
-            async with AsyncFrontend(backend, retry_crashes=2) as fe:
-                return await fe.submit(0.5)
-
-        assert _run(scenario()) == 0.5
-        assert backend.submissions == 2
-        counters = collector.snapshot()["counters"]
-        assert counters["serve.frontend.retries"] == 1
-
     def test_default_propagates_the_crash_unretried(self):
         backend = _CrashyBackend(crashes=1)
 
@@ -168,21 +162,71 @@ class TestCrashRetry:
             _run(scenario())
         assert backend.submissions == 1
 
-    def test_exhausted_retries_propagate(self):
+
+def _signal(pid, signum):
+    try:
+        os.kill(pid, signum)
+    except ProcessLookupError:
+        pass  # already reaped
+
+
+async def _holder(pool, collector):
+    """The worker handle the one submitted batch was sent to."""
+    deadline = time.monotonic() + 10
+    while not collector.snapshot()["counters"].get("serve.pool.dispatched"):
+        assert time.monotonic() < deadline, "the batch never shipped"
+        await asyncio.sleep(0.005)
+    holder = next(h for h in pool._handles if h.in_flight)
+    with holder.send_lock:
+        pass  # counted just before the send, under this lock: it is out
+    return holder
+
+
+class TestCrashRecovery:
+    """A crashed worker's batch is retried by the pool, counted once.
+
+    Every worker is stopped before the submit, so the batch is still
+    unanswered when its worker is killed. The retry lands on the idle
+    worker or, on a one-worker pool, on the replacement forked in its
+    place. The front door awaits one request, which the pool counts as
+    one request in one batch with one good SLO record.
+    """
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_killed_holder_is_retried_and_counted_once(self, reference,
+                                                       workers):
         collector = Collector()
-        backend = _CrashyBackend(crashes=5, collector=collector)
+        x = np.linspace(-3.0, 3.0, 7)
 
         async def scenario():
-            async with AsyncFrontend(backend, retry_crashes=2) as fe:
-                return await fe.submit(0.5)
+            pool = WorkerPool(
+                n_bits=N_BITS, workers=workers, collector=collector,
+                resilience=ResponsePolicy(max_retries=1),
+                slo=SLOPolicy(latency_ms=10_000),
+            )
+            pids = pool.worker_pids()
+            try:
+                async with AsyncFrontend(pool) as fe:
+                    for pid in pids:
+                        os.kill(pid, signal.SIGSTOP)
+                    task = asyncio.ensure_future(fe.submit(x, mode="tanh"))
+                    holder = await _holder(pool, collector)
+                    for pid in pids:
+                        if pid != holder.process.pid:
+                            os.kill(pid, signal.SIGCONT)
+                    os.kill(holder.process.pid, signal.SIGKILL)
+                    return await asyncio.wait_for(task, 30)
+            finally:
+                for pid in pids:
+                    _signal(pid, signal.SIGCONT)
 
-        with pytest.raises(WorkerCrashError):
-            _run(scenario())
-        assert backend.submissions == 3
+        got = _run(scenario())
+        assert np.asarray(got).tobytes() == reference.tanh(x).tobytes()
         counters = collector.snapshot()["counters"]
-        assert counters["serve.frontend.retries"] == 2
-
-    def test_rejects_negative_retry_crashes(self):
-        backend = _CrashyBackend(crashes=0)
-        with pytest.raises(ValueError):
-            AsyncFrontend(backend, retry_crashes=-1)
+        assert counters["serve.requests"] == 1
+        assert counters["serve.batches"] == 1
+        assert counters["slo.serve.good"] == 1
+        assert "slo.serve.bad" not in counters
+        assert counters["serve.resilience.retries"] == 1
+        assert counters["serve.resilience.corrected"] == 1
+        assert counters["serve.pool.worker_restarts"] == 1

@@ -229,8 +229,7 @@ class TestNoStrandedRequest:
             FaultSpec(site=IO_OUT, model=FaultModel.TRANSIENT,
                       rate=1.0, bit=N_BITS - 1),
         ))
-        policy = ResponsePolicy(verify=True, max_retries=0,
-                                quarantine_after=1)
+        policy = ResponsePolicy(max_retries=0, quarantine_after=1)
         collector = Collector()
         pool = WorkerPool(n_bits=N_BITS, workers=1, restart=False,
                           collector=collector, resilience=policy,
@@ -264,7 +263,7 @@ class TestNoStrandedRequest:
         # The worker never answers, so only the policy's timeout can
         # settle the first flight — and it must release the held ones
         # to time out in turn rather than wait for the worker.
-        policy = ResponsePolicy(timeout_s=0.2, scan_interval_s=0.01)
+        policy = ResponsePolicy(timeout_s=0.2)
         collector = Collector()
         pool = WorkerPool(n_bits=N_BITS, workers=1, collector=collector,
                           resilience=policy)

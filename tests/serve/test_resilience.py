@@ -44,16 +44,13 @@ def _all_mode_requests(per_mode, seed=0):
 class TestPolicyValidation:
     def test_defaults_are_valid(self):
         policy = ResponsePolicy()
-        assert policy.verify and policy.max_retries == 1
+        assert policy.max_retries == 1
 
     @pytest.mark.parametrize("kwargs", [
         {"max_retries": -1},
         {"canary_every": -1},
-        {"hedge_after_s": -0.1},
         {"timeout_s": -1.0},
         {"quarantine_after": -1},
-        {"softmax_sum_slack": -0.5},
-        {"drain_timeout_s": 0.0},
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ConfigError):
@@ -73,7 +70,7 @@ class TestCanaryByteIdentity:
         reference = BatchEngine.for_bits(n_bits, fast=True)
         requests = _all_mode_requests(6, seed=n_bits)
         collector = Collector()
-        policy = ResponsePolicy(verify=True, canary_every=1, max_retries=1)
+        policy = ResponsePolicy(canary_every=1, max_retries=1)
         with WorkerPool(
             n_bits=n_bits, workers=2, collector=collector,
             resilience=policy,
@@ -124,7 +121,7 @@ class TestCleanPathNoFalsePositives:
             for _ in range(24)
         ]
         collector = Collector()
-        policy = ResponsePolicy(verify=True, canary_every=2, max_retries=1)
+        policy = ResponsePolicy(canary_every=2, max_retries=1)
         with WorkerPool(
             config=config, workers=2, collector=collector,
             resilience=policy,
@@ -149,7 +146,7 @@ class TestArmedDefence:
                       rate=0.01, bit=n_bits - 1),
         ))
         collector = Collector()
-        policy = ResponsePolicy(verify=True, max_retries=4)
+        policy = ResponsePolicy(max_retries=4)
         rng = np.random.default_rng(3)
         requests = [
             ("sigmoid" if i % 2 else "tanh",
@@ -244,9 +241,7 @@ class TestArmedDefence:
                       rate=0.05, bit=n_bits - 1),
         ))
         collector = Collector()
-        policy = ResponsePolicy(
-            verify=True, max_retries=5, quarantine_after=1,
-        )
+        policy = ResponsePolicy(max_retries=5, quarantine_after=1)
         rng = np.random.default_rng(9)
         requests = [
             ("sigmoid", rng.uniform(-6, 6, size=(int(rng.integers(1, 4)),)))
@@ -292,6 +287,62 @@ class TestArmedDefence:
         assert failures + sum(
             1 for f in futures if f.exception(timeout=0) is None
         ) == len(requests)
+
+
+def _kill_the_only_worker(restart):
+    """Kill a one-worker pool's worker while its one batch is unanswered.
+
+    Returns the request, its settled future and the parent's counters.
+    """
+    collector = Collector()
+    pool = WorkerPool(
+        n_bits=12, workers=1, collector=collector, restart=restart,
+        resilience=ResponsePolicy(max_retries=1),
+    )
+    x = np.linspace(-4.0, 4.0, 9)
+    pid = pool.worker_pids()[0]
+    try:
+        os.kill(pid, signal.SIGSTOP)
+        future = pool.submit(x, mode="sigmoid")
+        deadline = time.monotonic() + 10
+        while not collector.snapshot()["counters"].get(
+            "serve.pool.dispatched"
+        ):
+            assert time.monotonic() < deadline, "the batch never shipped"
+            time.sleep(0.005)
+        with pool._handles[0].send_lock:
+            pass  # counted just before the send, under this lock: it is out
+        os.kill(pid, signal.SIGKILL)
+        future.exception(timeout=30)
+    finally:
+        pool.close()
+    return x, future, collector.snapshot()["counters"]
+
+
+class TestCrashRetry:
+    """A crashed batch is retried only on a worker that is live.
+
+    The retry is decided after the dead worker's replacement is forked,
+    so a one-worker pool retries on the replacement; ``retries`` counts
+    only a re-dispatch that went out.
+    """
+
+    def test_one_worker_pool_retries_on_the_replacement(self):
+        x, future, counters = _kill_the_only_worker(restart=True)
+        want = BatchEngine.for_bits(12, fast=True).sigmoid(x)
+        assert np.asarray(future.result(timeout=0)).tobytes() == (
+            np.asarray(want).tobytes()
+        )
+        assert counters["serve.resilience.retries"] == 1
+        assert counters["serve.resilience.corrected"] == 1
+        assert counters["serve.pool.worker_restarts"] == 1
+        assert "serve.resilience.failed" not in counters
+
+    def test_no_live_worker_fails_the_batch_without_a_retry(self):
+        _, future, counters = _kill_the_only_worker(restart=False)
+        assert isinstance(future.exception(timeout=0), WorkerCrashError)
+        assert counters.get("serve.resilience.retries", 0) == 0
+        assert counters["serve.resilience.failed"] == 1
 
 
 class TestDispatchWait:

@@ -1,6 +1,8 @@
 """The documented public API must stay importable and stable."""
 
+import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -98,6 +100,42 @@ class TestSubpackageSurfaces:
 
         with pytest.raises(AttributeError, match="no_such_engine"):
             repro.approx.no_such_engine
+
+
+class TestServingSurface:
+    """Every setting a serving tier takes, pinned by name and order.
+
+    A new option has to change this test, and the change that adds it
+    says which callers need a value other than the default.
+    """
+
+    @pytest.mark.parametrize("name,params", [
+        ("InferenceServer", [
+            "engine", "config", "n_bits", "fast", "workers",
+            "max_batch_elements", "max_delay_us", "max_pending_elements",
+            "table_source", "collector", "tracer", "slo",
+        ]),
+        ("WorkerPool", [
+            "config", "n_bits", "workers", "fast", "share_tables",
+            "restart", "ring_slots", "ring_slot_elements",
+            "max_batch_elements", "max_delay_us", "max_pending_elements",
+            "publish_cache", "collector", "tracer", "slo", "resilience",
+            "dispatch_wait_s", "fault_plan",
+        ]),
+        ("AsyncFrontend", ["backend", "max_inflight"]),
+    ])
+    def test_constructor_parameters(self, name, params):
+        import repro.serve
+
+        cls = getattr(repro.serve, name)
+        assert list(inspect.signature(cls).parameters) == params
+
+    def test_response_policy_fields(self):
+        from repro.serve import ResponsePolicy
+
+        assert [f.name for f in dataclasses.fields(ResponsePolicy)] == [
+            "canary_every", "max_retries", "timeout_s", "quarantine_after",
+        ]
 
 
 class TestImportFootprint:
