@@ -47,14 +47,20 @@ class SegmentTable:
     def __init__(self, segments: Sequence[Segment]):
         if not segments:
             raise ConfigError("a segment table needs at least one segment")
-        for prev, cur in zip(segments, segments[1:]):
-            if not np.isclose(prev.x_hi, cur.x_lo):
-                raise ConfigError(
-                    f"segments are not contiguous: [{prev.x_lo}, {prev.x_hi}) "
-                    f"then [{cur.x_lo}, {cur.x_hi})"
-                )
-        self.segments: List[Segment] = list(segments)
         self._edges = np.array([s.x_lo for s in segments] + [segments[-1].x_hi])
+        # One array compare over every junction: each segment's upper
+        # edge against the next one's lower edge.
+        gaps = ~np.isclose(
+            np.array([s.x_hi for s in segments[:-1]]), self._edges[1:-1]
+        )
+        if gaps.any():
+            i = int(np.argmax(gaps))
+            prev, cur = segments[i], segments[i + 1]
+            raise ConfigError(
+                f"segments are not contiguous: [{prev.x_lo}, {prev.x_hi}) "
+                f"then [{cur.x_lo}, {cur.x_hi})"
+            )
+        self.segments: List[Segment] = list(segments)
         # Coefficient vectors, materialised once: eval() is called per
         # batch (and, during table construction, per candidate fit), so
         # rebuilding these per call would dominate the lookup cost.
@@ -96,20 +102,27 @@ class SegmentTable:
         intercept_fmt: Optional[QFormat],
         rounding: Rounding = Rounding.NEAREST_EVEN,
     ) -> "SegmentTable":
-        """Return a copy whose coefficients are representable LUT words."""
-        new_segments = []
-        for seg in self.segments:
-            slope = seg.slope
-            intercept = seg.intercept
-            if slope_fmt is not None:
-                slope = float(quantize_float(slope, slope_fmt)) * slope_fmt.resolution
-            if intercept_fmt is not None:
-                intercept = (
-                    float(quantize_float(intercept, intercept_fmt))
-                    * intercept_fmt.resolution
-                )
-            new_segments.append(replace(seg, slope=slope, intercept=intercept))
-        return SegmentTable(new_segments)
+        """Return a copy whose coefficients are representable LUT words.
+
+        Each coefficient vector is quantised in one call; a coefficient
+        without a format keeps its segment's own value.
+        """
+        slopes = [s.slope for s in self.segments]
+        intercepts = [s.intercept for s in self.segments]
+        if slope_fmt is not None:
+            slopes = (
+                quantize_float(self._slopes, slope_fmt, rounding)
+                * slope_fmt.resolution
+            ).tolist()
+        if intercept_fmt is not None:
+            intercepts = (
+                quantize_float(self._intercepts, intercept_fmt, rounding)
+                * intercept_fmt.resolution
+            ).tolist()
+        return SegmentTable([
+            replace(seg, slope=slope, intercept=intercept)
+            for seg, slope, intercept in zip(self.segments, slopes, intercepts)
+        ])
 
     def widths(self) -> np.ndarray:
         """Array of segment widths."""

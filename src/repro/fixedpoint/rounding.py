@@ -130,6 +130,20 @@ def apply_overflow(raw: RawLike, fmt: QFormat, overflow: Overflow) -> np.ndarray
     raise ValueError(f"unknown overflow mode {overflow!r}")
 
 
+def _float_bounds(fmt: QFormat):
+    """``(2**fb, raw_min, raw_max)`` as float64 scalars.
+
+    Memoised on the (frozen) format: a Python-int operand costs a NumPy
+    ufunc more than the arithmetic on a small batch.
+    """
+    bounds = fmt.__dict__.get("_float_bounds")
+    if bounds is None:
+        bounds = (np.float64(1 << fmt.fb), np.float64(fmt.raw_min),
+                  np.float64(fmt.raw_max))
+        object.__setattr__(fmt, "_float_bounds", bounds)
+    return bounds
+
+
 def quantize_float(
     values: Union[float, np.ndarray],
     fmt: QFormat,
@@ -145,6 +159,26 @@ def quantize_float(
     then ``overflow`` folds them into ``fmt`` as for any raw integer.
     NaN has no raw word and raises :class:`~repro.errors.RangeError`.
     """
+    if (
+        rounding is Rounding.NEAREST_EVEN
+        and overflow is Overflow.SATURATE
+        and _telemetry._active is None
+        and type(values) is np.ndarray
+        and values.dtype.char == "d"
+        and values.ndim
+    ):
+        # The serving default with no overflow counters to feed: the
+        # clamp to the format's raw range runs in float64, where every
+        # bound is exact, so the cast is defined and the words equal
+        # the general path's.
+        scale, low, high = _float_bounds(fmt)
+        raw = values * scale
+        np.rint(raw, out=raw)
+        if np.count_nonzero(np.isnan(raw)):
+            raise RangeError(f"NaN has no value in fixed-point format {fmt}")
+        np.maximum(raw, low, out=raw)
+        np.minimum(raw, high, out=raw)
+        return raw.astype(np.int64)
     # One float64 copy, then every float step in place: a 0-d input
     # stays a 0-d array until apply_overflow.
     raw = np.array(values, dtype=np.float64)

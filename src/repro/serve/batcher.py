@@ -240,7 +240,10 @@ class Batch:
         transport) must unshare the bytes first. Float futures view the
         batch's de-quantised copy, never the buffer itself.
         """
-        return any(r.emit_fx for r in self.requests)
+        requests = self.requests
+        if len(requests) == 1:
+            return requests[0].emit_fx
+        return any(r.emit_fx for r in requests)
 
     def gather_into(self, out: np.ndarray, fmt) -> None:
         """Scatter-gather the fused payload straight into ``out`` (flat).
@@ -288,6 +291,10 @@ class Batch:
         batch crosses the pipe. Returns ``(tel, traces, enqueue_ns)``
         for the matching :meth:`finish`/:meth:`fail`.
         """
+        tel = _telemetry.resolve(collector)
+        if tel is None and tracer is None and slo is None:
+            # Nobody watches this batch: no stamps, no samples.
+            return None, (), None
         traces = []
         if tracer is not None:
             # Sampling happens here, not per submit: one counter jump
@@ -302,7 +309,6 @@ class Batch:
                         request.enqueue_ns,
                     )
                 traces.append(request.trace)
-        tel = _telemetry.resolve(collector)
         if dispatch_ns is None:
             dispatch_ns = time.perf_counter_ns()
         # One int64 array of enqueue stamps serves both the queue-wait
@@ -342,17 +348,24 @@ class Batch:
         exactly like the evaluation itself (see :meth:`run`).
         """
         raw = out_raw if out_raw.ndim == 1 else out_raw.reshape(-1)
+        requests = self.requests
+        # A lone request takes the whole output: no pass over the
+        # members, no slice.
+        lone = len(requests) == 1
         # Made before any future resolves: an FxArray client may write
         # into its view of ``raw`` as soon as it has it.
         values = (
-            None if all(r.emit_fx for r in self.requests)
+            None if (requests[0].emit_fx if lone
+                     else all(r.emit_fx for r in requests))
             else raw * fmt.resolution
         )
         offset = 0
-        for request in self.requests:
-            end = offset + request.elements
-            piece = (raw if request.emit_fx else values)[offset:end]
-            offset = end
+        for request in requests:
+            piece = raw if request.emit_fx else values
+            if not lone:
+                end = offset + request.elements
+                piece = piece[offset:end]
+                offset = end
             # A 1-D request's slice already has its shape, and its
             # softmax axis is always the last.
             if len(request.shape) != 1:

@@ -51,8 +51,17 @@ from repro.telemetry.slo import SLOAccountant, SLOPolicy
 _MODE_BY_NAME = {mode.value: mode for mode in SERVABLE_MODES}
 
 
+def _shipped() -> None:
+    """What ``_ship_idle`` returns for a batch that left cleanly."""
+
+
 class _FrontEnd:
     """Admission, the self-clocked dispatcher and close, for either tier.
+
+    Who ships a batch: the dispatcher thread, except that a tier may
+    ship a lone request from the submitting thread (``_ship_idle``) —
+    the pool does when one of its workers is idle; the server never
+    does.
 
     A subclass builds its executor between :meth:`__init__` and
     :meth:`_start_dispatcher`, and supplies:
@@ -61,6 +70,13 @@ class _FrontEnd:
       now? Called with ``_cond`` held.
     * ``_run(ready, tracer)`` — execute the batches the gate released,
       on the dispatcher thread.
+    * ``_ship_idle(request)`` — called with ``_cond`` held when a request
+      entered an empty batcher: ship it from the submitting thread if
+      an executor is idle, and return a callable that settles it once
+      ``_cond`` is released; ``None`` (the default) leaves it to the
+      dispatcher. Only the pool ships here: the server's executor is
+      its dispatcher, and running a batch inside ``submit()`` would make
+      every closed-loop caller wait for its own result.
     * ``_shutdown()`` — tear the executor down once the dispatcher has
       joined, every admitted batch having been run or dropped.
     * ``io_fmt`` — the served format
@@ -125,12 +141,13 @@ class _FrontEnd:
                 ) from None
         future: Future = Future()
         request = build_request(future, x, mode, axis, self)
+        settle = None
         with self._cond:
             if self._closed:
                 raise ServerClosedError("submit() after close()")
             # An idle dispatcher waits without a timeout, so the first
-            # request of an empty pool must wake it, to run the request
-            # at once or to arm its deadline.
+            # request of an empty pool must ship from here or wake it,
+            # to run the request at once or to arm its deadline.
             was_idle = not self._batcher
             if not self._batcher.offer(request):
                 self._count("serve.shed")
@@ -154,8 +171,14 @@ class _FrontEnd:
             # deadline timeout or when a busy executor frees; waking it
             # per submit just burns one context switch per request on
             # the coalescing path.
-            if was_idle or self._batcher.has_full_group:
+            if was_idle:
+                settle = self._ship_idle(request)
+                if settle is None:
+                    self._cond.notify()
+            elif self._batcher.has_full_group:
                 self._cond.notify()
+        if settle is not None:
+            settle()
         return future
 
     def close(self, flush: bool = True) -> None:
@@ -221,11 +244,16 @@ class _FrontEnd:
                 # close() joins this thread, then calls _shutdown().
                 return
 
+    def _ship_idle(self, request):
+        """Tier hook: ship a lone request from ``submit()`` (see above)."""
+        return None
+
     def _wake_dispatcher(self) -> None:
         """Make the dispatcher re-run the gate: an executor freed or left.
 
         Only a held group or a close gives the gate anything to decide;
-        a submit into an empty batcher wakes the dispatcher itself.
+        a submit into an empty batcher ships itself or wakes the
+        dispatcher.
         """
         with self._cond:
             if self._batcher or self._closed:

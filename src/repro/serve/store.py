@@ -31,6 +31,7 @@ path picks shared images up transparently.
 from __future__ import annotations
 
 import inspect
+import math
 import os
 import struct
 import threading
@@ -401,11 +402,12 @@ class SlotRing:
     the writer never finished, and :meth:`read_frame` refuses it with
     :class:`~repro.errors.TornFrameError` instead of serving torn bytes.
 
-    Single-producer/single-consumer per direction by contract: the
-    parent's dispatcher writes request frames, one worker reads them
-    (and symmetrically for responses), so no atomics are needed — the
-    doorbell message *is* the release fence (``Connection.send``/
-    ``recv`` order the memory operations on one host).
+    Single-producer/single-consumer per slot by contract: the parent
+    thread that claimed a slot from the free list writes its request
+    frame, one worker reads it (and symmetrically for responses), so no
+    atomics are needed — the doorbell message *is* the release fence
+    (``Connection.send``/``recv`` order the memory operations on one
+    host).
     """
 
     #: Per-slot header words: generation, commit, seq, elements.
@@ -420,9 +422,26 @@ class SlotRing:
         self.slot_elements = slot_elements
         self._owner = owner
         self._unlinked = False
-        self._words: Optional[np.ndarray] = np.ndarray(
-            (slots, self.HEADER_WORDS + slot_elements),
-            dtype=np.int64, buffer=segment.buf,
+        self._stride = self.HEADER_WORDS + slot_elements
+        words = np.ndarray(
+            (slots, self._stride), dtype=np.int64, buffer=segment.buf
+        )
+        if owner:
+            words[:, :self.HEADER_WORDS] = 0
+        readable = words.view()
+        readable.flags.writeable = False
+        #: ``(header, payloads, readable)``, read once per call so a
+        #: concurrent :meth:`close` leaves a caller all or nothing: the
+        #: whole ring as flat int64 words (header reads and writes are
+        #: plain Python ints, with no NumPy scalar on the way), and each
+        #: slot's payload words viewed once, writable for the frame's
+        #: writer and read-only for its reader.
+        self._views: Optional[
+            Tuple[memoryview, List[np.ndarray], List[np.ndarray]]
+        ] = (
+            segment.buf.cast("q"),
+            [row[self.HEADER_WORDS:] for row in words],
+            [row[self.HEADER_WORDS:] for row in readable],
         )
 
     @classmethod
@@ -433,7 +452,6 @@ class SlotRing:
         nbytes = slots * (cls.HEADER_WORDS + slot_elements) * 8
         segment = shared_memory.SharedMemory(create=True, size=nbytes)
         ring = cls(segment, label, slots, slot_elements, owner=True)
-        ring._words[:, :cls.HEADER_WORDS] = 0
         _count("serve.store.ring_created")
         _count("serve.store.ring_bytes", nbytes)
         return ring
@@ -455,11 +473,11 @@ class SlotRing:
     def nbytes(self) -> int:
         return self.slots * (self.HEADER_WORDS + self.slot_elements) * 8
 
-    def _row(self, slot: int) -> np.ndarray:
-        words = self._words
-        if words is None:
+    def _live_views(self):
+        views = self._views
+        if views is None:
             raise ServeError(f"{self.label} ring is closed")
-        return words[slot]
+        return views
 
     def open_frame(self, slot: int, seq: int, elements: int) -> np.ndarray:
         """Begin a frame: stamp the header, return the writable payload view.
@@ -472,60 +490,67 @@ class SlotRing:
                 f"frame of {elements} elements exceeds the "
                 f"{self.slot_elements}-element {self.label} ring slot"
             )
-        row = self._row(slot)
-        row[self._GEN] += 1
-        row[self._SEQ] = seq
-        row[self._ELEMENTS] = elements
-        return row[self.HEADER_WORDS:self.HEADER_WORDS + elements]
+        header, payloads, _ = self._live_views()
+        base = slot * self._stride
+        header[base + self._GEN] += 1
+        header[base + self._SEQ] = seq
+        header[base + self._ELEMENTS] = elements
+        return payloads[slot][:elements]
 
     def commit_frame(self, slot: int) -> None:
         """Seal the open frame: the payload is complete and readable."""
-        row = self._row(slot)
-        row[self._COMMIT] = row[self._GEN]
+        header = self._live_views()[0]
+        base = slot * self._stride
+        header[base + self._COMMIT] = header[base + self._GEN]
 
     def write_frame(self, slot: int, seq: int, payload: np.ndarray) -> None:
         """Open, fill and commit in one call (the pre-fused payload case)."""
         frame = self.open_frame(slot, seq, payload.size)
-        np.copyto(frame, payload.reshape(-1))
+        frame[:] = payload.ravel()
         self.commit_frame(slot)
 
     def read_frame(self, slot: int, seq: int, shape) -> np.ndarray:
         """A read-only payload view, after proving the frame is whole."""
-        row = self._row(slot)
-        gen = int(row[self._GEN])
-        commit = int(row[self._COMMIT])
-        frame_seq = int(row[self._SEQ])
-        elements = int(row[self._ELEMENTS])
-        expected = 1
-        for dim in shape:
-            expected *= dim
+        header, _, readable = self._live_views()
+        base = slot * self._stride
+        gen = header[base + self._GEN]
+        commit = header[base + self._COMMIT]
+        frame_seq = header[base + self._SEQ]
+        elements = header[base + self._ELEMENTS]
+        expected = math.prod(shape)
         if gen != commit or frame_seq != seq or elements != expected:
             raise TornFrameError(
                 f"{self.label}[{slot}]: gen={gen} commit={commit} "
                 f"seq={frame_seq} elements={elements} — wanted seq {seq} "
                 f"with {expected} elements"
             )
-        view = row[self.HEADER_WORDS:self.HEADER_WORDS + elements]
-        view = view.reshape(tuple(shape))
-        view.flags.writeable = False
-        return view
+        view = readable[slot][:elements]
+        return view if len(shape) == 1 else view.reshape(tuple(shape))
 
     def slot_state(self, slot: int) -> RingSlotState:
         """Snapshot one slot's header (crash forensics; copies, no views)."""
-        row = self._row(slot)
+        base = slot * self._stride
+        gen, commit, seq, elements = self._live_views()[0][
+            base:base + self.HEADER_WORDS
+        ].tolist()
         return RingSlotState(
-            ring=self.label, slot=slot,
-            generation=int(row[self._GEN]), commit=int(row[self._COMMIT]),
-            seq=int(row[self._SEQ]), elements=int(row[self._ELEMENTS]),
+            ring=self.label, slot=slot, generation=gen, commit=commit,
+            seq=seq, elements=elements,
         )
 
     def close(self) -> None:
-        """Drop this process's mapping (frames become unreadable here)."""
-        self._words = None
+        """Drop this process's mapping (frames become unreadable here).
+
+        The header view is dropped, not released: a thread still inside
+        a header read or write keeps the mapping alive until it returns.
+        A payload view handed out earlier does not (NumPy holds no
+        export on it), so its holder must be done with it first.
+        """
+        self._views = None
         try:
             self._segment.close()
         except (OSError, BufferError):
-            pass  # a live frame view still pins the buffer
+            pass  # a thread mid-header-access still pins the buffer
 
     def unlink(self) -> None:
         """Owner side: destroy the segment (attachers just :meth:`close`)."""

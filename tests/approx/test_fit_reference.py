@@ -24,6 +24,7 @@ from repro.approx.minimax import (
 )
 from repro.approx.pwl import _FIT_SAMPLES, UniformPWL
 from repro.approx.segments import Segment, SegmentTable
+from repro.errors import ConfigError
 from repro.fixedpoint import QFormat
 from repro.fixedpoint.rounding import quantize_float
 from repro.funcs import sigmoid
@@ -198,9 +199,29 @@ class PerSegmentPWL(UniformPWL):
             segments.append(
                 Segment(float(lo), float(hi), fit.slope, fit.intercept)
             )
-        self.table = SegmentTable(segments).quantise_coefficients(
-            slope_fmt, intercept_fmt
+        self.table = reference_quantise_coefficients(
+            SegmentTable(segments), slope_fmt, intercept_fmt
         )
+
+
+def reference_quantise_coefficients(table, slope_fmt, intercept_fmt):
+    """``SegmentTable.quantise_coefficients`` as it was: two
+    ``quantize_float`` calls per segment."""
+    new_segments = []
+    for seg in table.segments:
+        slope = seg.slope
+        intercept = seg.intercept
+        if slope_fmt is not None:
+            slope = float(quantize_float(slope, slope_fmt)) * slope_fmt.resolution
+        if intercept_fmt is not None:
+            intercept = (
+                float(quantize_float(intercept, intercept_fmt))
+                * intercept_fmt.resolution
+            )
+        new_segments.append(
+            Segment(seg.x_lo, seg.x_hi, slope, intercept)
+        )
+    return SegmentTable(new_segments)
 
 
 def table_words(table):
@@ -222,8 +243,69 @@ class TestUniformPWLSegments:
         assert table_words(got) == table_words(want)
         got = UniformPWL(sigmoid, 0.0, 8.0, n, **FORMATS).table
         assert table_words(got) == table_words(
-            want.quantise_coefficients(**FORMATS)
+            reference_quantise_coefficients(want, **FORMATS)
         )
+
+
+class TestSegmentTableVectorised:
+    """Whole-vector contiguity checks and coefficient quantising against
+    the per-segment loops they replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1024])
+    @pytest.mark.parametrize("formats", [
+        {"slope_fmt": None, "intercept_fmt": None},
+        FORMATS,
+        {"slope_fmt": QFormat(0, 14), "intercept_fmt": None},
+        {"slope_fmt": None, "intercept_fmt": QFormat(1, 14)},
+        {"slope_fmt": QFormat(0, 4), "intercept_fmt": QFormat(0, 3)},
+    ], ids=["none", "both", "slope", "intercept", "saturating"])
+    def test_quantised_words_match_the_per_segment_loop(self, n, formats):
+        table = UniformPWL(sigmoid, -8.0, 8.0, n).table
+        got = table.quantise_coefficients(**formats)
+        want = reference_quantise_coefficients(table, **formats)
+        assert table_words(got) == table_words(want)
+        assert [type(s.slope) for s in got.segments] == [
+            type(s.slope) for s in want.segments
+        ]
+
+    def test_quantised_words_and_counters_with_a_collector(self):
+        from repro.telemetry import Collector, use_collector
+
+        table = UniformPWL(sigmoid, -8.0, 8.0, 64).table
+        formats = {"slope_fmt": QFormat(0, 4), "intercept_fmt": QFormat(0, 3)}
+        counters = []
+        for quantise in (table.quantise_coefficients,
+                         lambda **f: reference_quantise_coefficients(table,
+                                                                     **f)):
+            collector = Collector()
+            with use_collector(collector):
+                words = table_words(quantise(**formats))
+            counters.append(collector.snapshot()["counters"])
+        assert counters[0] == counters[1]
+        assert counters[0]["fx.saturate.events"] > 0
+        assert words == table_words(
+            reference_quantise_coefficients(table, **formats)
+        )
+
+    @pytest.mark.parametrize("gap_at", [0, 1, 62])
+    def test_first_gap_is_named(self, gap_at):
+        segments = list(UniformPWL(sigmoid, 0.0, 8.0, 64).table.segments)
+        cur = segments[gap_at + 1]
+        segments[gap_at + 1] = Segment(cur.x_lo + 0.01, cur.x_hi,
+                                       cur.slope, cur.intercept)
+        prev = segments[gap_at]
+        with pytest.raises(ConfigError) as info:
+            SegmentTable(segments)
+        assert str(info.value) == (
+            f"segments are not contiguous: [{prev.x_lo}, {prev.x_hi}) "
+            f"then [{cur.x_lo + 0.01}, {cur.x_hi})"
+        )
+
+    def test_near_edges_still_count_as_contiguous(self):
+        # np.isclose's default tolerance, as the scalar check had it.
+        segments = [Segment(0.0, 1.0, 0.5, 0.0),
+                    Segment(1.0 + 1e-9, 2.0, 0.5, 0.0)]
+        assert len(SegmentTable(segments)) == 2
 
     @pytest.mark.parametrize("formats", [{}, FORMATS],
                              ids=["float", "quantised"])

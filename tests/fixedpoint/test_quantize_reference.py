@@ -6,7 +6,10 @@ temporary. The reference below is the plain formula they must equal:
 scale, round, refuse NaN, ``np.clip`` into int64's guard band, cast,
 then ``np.clip`` into the format. Every result must match it in raw
 words, dtype, shape and Python type, raise the same ``RangeError``, and
-leave the same ``fx.*`` counters in a collector.
+leave the same ``fx.*`` counters in a collector. Each case runs with a
+collector installed and without one: ``quantize_float`` takes a lean
+branch for float arrays under the default policy only when no collector
+is installed, so both of its paths meet the oracle.
 """
 
 import numpy as np
@@ -70,15 +73,18 @@ def reference_quantize(values, fmt, rounding, overflow):
     return reference_overflow(raw.astype(np.int64), fmt, overflow)
 
 
-def outcome(func, *args):
-    """``func``'s result with the ``fx.*`` counters it left, or its error."""
-    collector = Collector()
+def outcome(func, *args, telemetry=True):
+    """``func``'s result with the ``fx.*`` counters it left, or its error.
+
+    ``telemetry=False`` runs it with no collector installed at all.
+    """
+    collector = Collector() if telemetry else None
     with use_collector(collector):
         try:
             result = func(*args)
         except RangeError as exc:
-            return ("raises", str(exc)), collector.snapshot()["counters"]
-    return result, collector.snapshot()["counters"]
+            result = ("raises", str(exc))
+    return result, collector.snapshot()["counters"] if telemetry else {}
 
 
 def assert_same(got, want):
@@ -141,6 +147,32 @@ def float_inputs(draw, nan=False):
 
 
 @st.composite
+def default_policy_arrays(draw, nan=False):
+    """Float arrays under the default rounding and overflow policy."""
+    fmt = draw(st.sampled_from(FORMATS))
+    if draw(st.booleans()):
+        value = st.floats(width=32, allow_nan=False)
+        dtype = np.float32
+    else:
+        value = _specials(fmt)
+        dtype = np.float64
+    if nan:
+        value = st.one_of(value, st.just(np.nan))
+    flat = np.array(draw(st.lists(value, min_size=6, max_size=6)),
+                    dtype=dtype)
+    shape = draw(st.sampled_from(["1d", "2d", "2d_t", "empty"]))
+    if shape == "2d":
+        values = flat.reshape(2, 3)
+    elif shape == "2d_t":
+        values = flat.reshape(2, 3).T
+    elif shape == "empty":
+        values = flat[:0]
+    else:
+        values = flat
+    return values, fmt, Rounding.NEAREST_EVEN, Overflow.SATURATE
+
+
+@st.composite
 def raw_inputs(draw):
     fmt = draw(st.sampled_from(FORMATS))
     span = 1 << (fmt.n_bits + 1)
@@ -167,40 +199,68 @@ def raw_inputs(draw):
     return raw, fmt, draw(st.sampled_from(list(Overflow)))
 
 
+TELEMETRY = pytest.mark.parametrize(
+    "telemetry", [True, False], ids=["collector", "no_collector"]
+)
+
+
 class TestQuantizeAgainstReference:
+    @TELEMETRY
     @settings(max_examples=400, deadline=None)
-    @given(float_inputs())
-    def test_same_words_type_and_counters(self, case):
-        want, want_counts = outcome(reference_quantize, *case)
-        got, got_counts = outcome(quantize_float, *case)
+    @given(case=float_inputs())
+    def test_same_words_type_and_counters(self, case, telemetry):
+        want, want_counts = outcome(reference_quantize, *case,
+                                    telemetry=telemetry)
+        got, got_counts = outcome(quantize_float, *case, telemetry=telemetry)
         assert_same(got, want)
         assert got_counts == want_counts
 
+    @TELEMETRY
+    @settings(max_examples=200, deadline=None)
+    @given(case=default_policy_arrays())
+    def test_default_policy_arrays(self, case, telemetry):
+        want, want_counts = outcome(reference_quantize, *case,
+                                    telemetry=telemetry)
+        got, got_counts = outcome(quantize_float, *case, telemetry=telemetry)
+        assert_same(got, want)
+        assert got_counts == want_counts
+
+    @TELEMETRY
     @settings(max_examples=150, deadline=None)
-    @given(float_inputs(nan=True))
-    def test_nan_raises_the_same_error(self, case):
-        want, _ = outcome(reference_quantize, *case)
-        got, _ = outcome(quantize_float, *case)
+    @given(case=st.one_of(float_inputs(nan=True),
+                          default_policy_arrays(nan=True)))
+    def test_nan_raises_the_same_error(self, case, telemetry):
+        want, _ = outcome(reference_quantize, *case, telemetry=telemetry)
+        got, _ = outcome(quantize_float, *case, telemetry=telemetry)
         assert_same(got, want)
 
-    @pytest.mark.parametrize("values", [np.nan, [0.5, np.nan], np.array(np.nan)])
-    def test_nan_is_refused_with_its_message(self, values):
-        with pytest.raises(RangeError, match="NaN has no value"):
-            quantize_float(values, QFormat(4, 11))
+    @TELEMETRY
+    @pytest.mark.parametrize(
+        "values", [np.nan, [0.5, np.nan], np.array(np.nan),
+                   np.array([0.5, np.nan])],
+    )
+    def test_nan_is_refused_with_its_message(self, values, telemetry):
+        with use_collector(Collector() if telemetry else None):
+            with pytest.raises(RangeError, match="NaN has no value"):
+                quantize_float(values, QFormat(4, 11))
 
-    def test_input_is_left_untouched(self):
+    @pytest.mark.parametrize("rounding", list(Rounding))
+    def test_input_is_left_untouched(self, rounding):
         values = np.array([0.3, -7.9, 1e19, -np.inf])
         before = values.copy()
-        quantize_float(values, QFormat(4, 11), Rounding.NEAREST_UP)
+        with use_collector(None):
+            quantize_float(values, QFormat(4, 11), rounding)
         assert np.array_equal(values, before)
 
 
 class TestOverflowAgainstReference:
+    @TELEMETRY
     @settings(max_examples=300, deadline=None)
-    @given(raw_inputs())
-    def test_same_words_type_and_counters(self, case):
-        want, want_counts = outcome(reference_overflow, *case)
-        got, got_counts = outcome(apply_overflow, *case)
+    @given(case=raw_inputs())
+    def test_same_words_type_and_counters(self, case, telemetry):
+        want, want_counts = outcome(reference_overflow, *case,
+                                    telemetry=telemetry)
+        got, got_counts = outcome(apply_overflow, *case, telemetry=telemetry)
         assert_same(got, want)
         assert got_counts == want_counts
 

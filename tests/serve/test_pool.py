@@ -104,10 +104,10 @@ class TestIdleDispatch:
     def test_a_reply_to_an_empty_batcher_leaves_the_dispatcher_asleep(
         self, reference
     ):
-        # A lone request on an idle pool costs the dispatcher two gate
-        # runs: the submit's wake ships it, the next round finds nothing
-        # and sleeps. The reply that empties the worker has no group to
-        # release, so it must not wake the gate a third time.
+        # A lone request on an idle pool ships from submit(): one
+        # take_ready call, and the dispatcher is never woken. The reply
+        # that empties the worker has no group to release, so it must
+        # not wake the gate either.
         requests = 200
         with WorkerPool(n_bits=N_BITS, workers=1) as pool:
             pool.submit(0.5).result(timeout=30)
@@ -123,8 +123,7 @@ class TestIdleDispatch:
             for x in xs:
                 assert pool.submit(x).result(timeout=30) == reference.sigmoid(x)
             runs = len(calls)
-        # The warm-up request's second round may land after the patch.
-        assert runs <= 2 * requests + 1
+        assert runs == requests
 
 
 class TestBitIdentity:
@@ -343,3 +342,37 @@ class TestTelemetry:
         assert len(snapshots) == 2
         for snapshot in snapshots:
             assert snapshot["counters"]["serve.pool.worker_started"] == 1
+
+
+class TestFailedStart:
+    def test_a_start_that_fails_part_way_leaks_nothing(self, monkeypatch):
+        import errno
+        import multiprocessing
+
+        from repro.serve.store import SlotRing
+
+        def segments():
+            if not os.path.isdir("/dev/shm"):
+                return set()
+            return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+        before = segments()
+        children = {p.pid for p in multiprocessing.active_children()}
+        create = SlotRing.create.__func__
+        calls = []
+
+        def third_call_fails(cls, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return create(cls, *args, **kwargs)
+
+        monkeypatch.setattr(SlotRing, "create", classmethod(third_call_fails))
+        with pytest.raises(OSError):
+            WorkerPool(n_bits=N_BITS, workers=2)
+        # Worker 0 had started: it is reaped, and every ring and the
+        # table store are unlinked.
+        assert len(calls) == 3
+        assert segments() - before == set()
+        alive = {p.pid for p in multiprocessing.active_children()}
+        assert alive - children == set()

@@ -444,3 +444,68 @@ class TestDifferential:
             assert np.array_equal(pipe_raw, ring_raw), mode
             want = getattr(reference, f"{mode}_fx")(fx).raw
             assert np.array_equal(ring_raw, want), mode
+
+
+class TestHeaderWords:
+    """The header lives in an int64 memoryview; the framing is unchanged."""
+
+    def test_torn_frames_are_refused_across_mappings(self):
+        ring = SlotRing.create("resp", slots=2, slot_elements=8)
+        reader = SlotRing.attach(ring.name, "resp", 2, 8)
+        try:
+            ring.write_frame(1, seq=4, payload=np.arange(3, dtype=np.int64))
+            assert reader.read_frame(1, seq=4, shape=(3,)).tolist() == [0, 1, 2]
+            # Reopened and never committed: every read is refused.
+            ring.open_frame(1, seq=5, elements=3)[:] = 7
+            for seq in (4, 5):
+                with pytest.raises(TornFrameError):
+                    reader.read_frame(1, seq=seq, shape=(3,))
+            assert reader.slot_state(1).torn
+            ring.commit_frame(1)
+            assert reader.read_frame(1, seq=5, shape=(3,)).tolist() == [7] * 3
+            assert reader.slot_state(1) == RingSlotState(
+                ring="resp", slot=1, generation=2, commit=2, seq=5,
+                elements=3,
+            )
+            # The other slot's header never moved.
+            assert reader.slot_state(0) == RingSlotState(
+                ring="resp", slot=0, generation=0, commit=0, seq=0,
+                elements=0,
+            )
+        finally:
+            reader.close()
+            ring.unlink()
+
+    def test_read_views_are_read_only_and_writes_land(self):
+        ring = SlotRing.create("req", slots=2, slot_elements=6)
+        try:
+            frame = ring.open_frame(0, seq=1, elements=6)
+            frame[:] = np.arange(6)
+            ring.commit_frame(0)
+            view = ring.read_frame(0, seq=1, shape=(2, 3))
+            assert view.tolist() == [[0, 1, 2], [3, 4, 5]]
+            with pytest.raises(ValueError):
+                view[0, 0] = 9
+        finally:
+            ring.unlink()
+
+    def test_close_and_unlink_survive_a_live_payload_view(self):
+        ring = SlotRing.create("req", slots=1, slot_elements=8)
+        attached = SlotRing.attach(ring.name, "req", 1, 8)
+        ring.write_frame(0, seq=1, payload=np.arange(4, dtype=np.int64))
+        held = attached.read_frame(0, seq=1, shape=(4,))
+        writable = ring.open_frame(0, seq=2, elements=2)
+        attached.close()
+        ring.unlink()
+        if os.path.isdir("/dev/shm"):
+            assert not os.path.exists(os.path.join("/dev/shm", ring.name))
+        for closed in (ring, attached):
+            with pytest.raises(ServeError):
+                closed.read_frame(0, seq=1, shape=(4,))
+            with pytest.raises(ServeError):
+                closed.open_frame(0, seq=3, elements=1)
+            with pytest.raises(ServeError):
+                closed.slot_state(0)
+        # Not read: a view handed out before close() does not keep the
+        # mapping alive.
+        del held, writable
