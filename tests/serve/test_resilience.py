@@ -89,6 +89,33 @@ class TestCanaryByteIdentity:
         assert counters.get("serve.resilience.verify_failures", 0) == 0
         assert counters["serve.requests"] == len(requests)
 
+    def test_identical_over_the_pipe_overflow(self):
+        # One-element ring slots fit no flight: each one, canary slice
+        # appended, crosses the pipe as one concatenated payload.
+        reference = BatchEngine.for_bits(12, fast=True)
+        requests = _all_mode_requests(6, seed=5)
+        collector = Collector()
+        policy = ResponsePolicy(canary_every=1, max_retries=1)
+        with WorkerPool(
+            n_bits=12, workers=2, collector=collector, resilience=policy,
+            ring_slot_elements=1,
+        ) as pool:
+            futures = [
+                (mode, x, pool.submit(x, mode=mode))
+                for mode, x in requests
+            ]
+            for mode, x, future in futures:
+                got = np.asarray(future.result(timeout=60))
+                want = np.asarray(getattr(reference, mode)(x))
+                assert np.array_equal(got, want), (mode, x)
+        counters = pool.telemetry_snapshot()["counters"]
+        assert counters["serve.resilience.canaries"] > 0
+        assert counters.get("serve.resilience.canary_failures", 0) == 0
+        assert counters.get("serve.resilience.verify_failures", 0) == 0
+        assert counters["serve.pool.pipe_dispatched"] == (
+            counters["serve.pool.dispatched"]
+        )
+
     def test_canary_book_slices_are_memoised_and_golden(self):
         config = NacuConfig.for_bits(12)
         book = CanaryBook(config)
